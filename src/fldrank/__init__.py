@@ -34,7 +34,6 @@ from .evaluation import (
 )
 from .fld import (
     FuzzyCountSeries,
-    MembershipParams,
     fuzzy_count,
     fuzzy_count_series,
     fuzzy_local_dimension,
@@ -63,7 +62,6 @@ from .si import (
     si_step,
     simulate,
     spreading_ability,
-    worker_count,
 )
 
 __version__ = "0.1.0"

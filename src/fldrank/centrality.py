@@ -11,10 +11,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
-from .graph import DistanceField, Graph, all_distance_fields, connected_components
+from .graph import Graph, connected_components
 
 
 class SortDirection(Enum):
@@ -132,18 +133,16 @@ def degree_centrality(g: Graph) -> ScoreVector:
     return ScoreVector(Measure.DC, scores, np.zeros(g.node_count, dtype=bool))
 
 
-def closeness_centrality(g: Graph, dfields: tuple[DistanceField, ...] | None = None) -> ScoreVector:
+def closeness_centrality(g: Graph) -> ScoreVector:
     """Reciprocal of the summed hop distances to every other node.
 
     The sum runs over the node's own component only; nodes in singleton
     components have no distance sum at all and are flagged undefined.
     """
-    if dfields is None:
-        dfields = all_distance_fields(g)
     scores = np.zeros(g.node_count, dtype=np.float64)
     undefined = np.zeros(g.node_count, dtype=bool)
-    for i, df in enumerate(dfields):
-        total = sum(r * c for r, c in enumerate(df.shell_counts))
+    for i, shells in enumerate(g.shell_counts):
+        total = sum(r * c for r, c in enumerate(shells))
         if total == 0:
             undefined[i] = True
         else:
@@ -278,23 +277,21 @@ def eigenvector_centrality(
     return ScoreVector(Measure.EC, scores, undefined), eigenvalue
 
 
-def local_dimension(g: Graph, dfields: tuple[DistanceField, ...] | None = None) -> ScoreVector:
+def local_dimension(g: Graph) -> ScoreVector:
     """Growth exponent of the ball around each node.
 
     For radii r = 1..d_max, fit ln(nodes within r) against ln(r); the slope
     is the node's local dimension. Nodes seeing fewer than two radii have
     no regression and are flagged undefined.
     """
-    if dfields is None:
-        dfields = all_distance_fields(g)
     scores = np.zeros(g.node_count, dtype=np.float64)
     undefined = np.zeros(g.node_count, dtype=bool)
-    for i, df in enumerate(dfields):
-        if df.d_max < 2:
+    for i, shells in enumerate(g.shell_counts):
+        if len(shells) < 3:  # d_max < 2
             undefined[i] = True
             continue
-        cumulative = df.cumulative_counts()
-        xs = [math.log(r) for r in range(1, df.d_max + 1)]
-        ys = [math.log(cumulative[r]) for r in range(1, df.d_max + 1)]
+        cumulative = list(accumulate(shells))
+        xs = [math.log(r) for r in range(1, len(shells))]
+        ys = [math.log(cumulative[r]) for r in range(1, len(shells))]
         scores[i] = ols_slope(xs, ys)
     return ScoreVector(Measure.LD, scores, undefined)

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .centrality import Measure, PowerIterationError, rank_nodes
 from .evaluation import compute_measure, tau_sweep, top_k_overlap
-from .graph import EdgeListError, Graph, load_edge_list
+from .graph import Graph, load_edge_list
 from .si import SiConfig, lambda_from_beta, simulate
 
 _SCHEMAS = {
@@ -75,6 +75,16 @@ def _emit(args, command: str, schema: str, rows, params: dict) -> None:
     else:
         sys.stdout.write(payload)
         sys.stderr.write(manifest_text)
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _parse_measure(name: str) -> Measure:
@@ -229,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_si)
     seeds = p_si.add_mutually_exclusive_group(required=True)
     seeds.add_argument("--seeds", help="comma-separated node labels")
-    seeds.add_argument("--top", type=int, help="seed the top-k nodes of --measure")
+    seeds.add_argument("--top", type=_positive_int, help="seed the top-k nodes of --measure")
     p_si.add_argument("--measure", type=_parse_measure, default=None)
     rate = p_si.add_mutually_exclusive_group(required=True)
     rate.add_argument("--beta", type=float, help="infection rate (1/2)**beta")
     rate.add_argument("--lambda", dest="lam", type=float, help="infection rate directly")
-    p_si.add_argument("--replicates", type=int, default=100)
+    p_si.add_argument("--replicates", type=_positive_int, default=100)
     p_si.add_argument("--rng-seed", type=int, default=0)
     p_si.add_argument("--max-steps", type=int, default=None)
     p_si.set_defaults(func=cmd_si)
@@ -245,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.add_argument(
         "--lambda-range", type=_parse_lambda_range, default=_parse_lambda_range("0.01:0.1:0.01")
     )
-    p_tau.add_argument("--t-eval", type=int, default=10)
-    p_tau.add_argument("--replicates", type=int, default=100)
+    p_tau.add_argument("--t-eval", type=_positive_int, default=10)
+    p_tau.add_argument("--replicates", type=_positive_int, default=100)
     p_tau.add_argument("--rng-seed", type=int, default=0)
     p_tau.set_defaults(func=cmd_tau)
 
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--measures", type=_parse_measures, default=list(Measure)
     )
-    p_cmp.add_argument("--k", type=int, default=10)
+    p_cmp.add_argument("--k", type=_positive_int, default=10)
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser
@@ -265,10 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EdgeListError, PowerIterationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (PowerIterationError, ValueError, OSError) as exc:  # EdgeListError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

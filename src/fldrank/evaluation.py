@@ -19,7 +19,7 @@ from .centrality import (
     local_dimension,
 )
 from .fld import fuzzy_local_dimension
-from .graph import DistanceField, Graph, all_distance_fields
+from .graph import Graph
 from .si import derive_seed, spreading_ability
 
 
@@ -185,12 +185,8 @@ def tau_sweep(
     return results
 
 
-def compute_measure(
-    g: Graph,
-    measure: Measure | str,
-    dfields: tuple[DistanceField, ...] | None = None,
-) -> ScoreVector:
-    """Score a graph with any of the six measures, sharing BFS fields when given."""
+def compute_measure(g: Graph, measure: Measure | str) -> ScoreVector:
+    """Score a graph with any of the six measures."""
     m = Measure(measure) if isinstance(measure, str) else measure
     if m is Measure.DC:
         return degree_centrality(g)
@@ -198,10 +194,8 @@ def compute_measure(
         return betweenness_centrality(g)
     if m is Measure.EC:
         return eigenvector_centrality(g)[0]
-    if dfields is None:
-        dfields = all_distance_fields(g)
     if m is Measure.CC:
-        return closeness_centrality(g, dfields)
+        return closeness_centrality(g)
     if m is Measure.LD:
-        return local_dimension(g, dfields)
-    return fuzzy_local_dimension(g, dfields)
+        return local_dimension(g)
+    return fuzzy_local_dimension(g)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import Measure, ScoreVector, ols_slope
-from .graph import DistanceField, Graph, all_distance_fields
+from .graph import Graph
 
 
 def membership(d: float, eps: float) -> float:
@@ -36,72 +36,48 @@ def membership(d: float, eps: float) -> float:
 
 
 @dataclass(frozen=True)
-class MembershipParams:
-    """Membership configuration.
-
-    By default the box size tracks the current radius. ``fixed_eps`` pins
-    it to one value instead, for experimentation only.
-    """
-
-    fixed_eps: float | None = None
-
-    def __post_init__(self):
-        if self.fixed_eps is not None and self.fixed_eps <= 0:
-            raise ValueError("fixed_eps must be positive")
-
-
-@dataclass(frozen=True)
 class FuzzyCountSeries:
     """Fuzzy and real node counts around one center, per radius 1..d_max."""
 
-    center: int
     radii: tuple[int, ...]
     counts: tuple[float, ...]
     real_counts: tuple[int, ...]
 
 
-def fuzzy_count(
-    dfield: DistanceField, r: int, *, eps: float | None = None
-) -> tuple[float, int]:
+def fuzzy_count(shell_counts: tuple[int, ...], r: int) -> tuple[float, int]:
     """Average membership over the nodes within hop distance r of the center.
 
-    The center itself (distance 0, weight 1) is included in both the sum
-    and the divisor. Returns ``(fuzzy count, real count)``. The box size
-    defaults to the radius. Weights are accumulated shell by shell so the
-    result is bit-identical under any node relabeling.
+    ``shell_counts[d]`` is the number of nodes at hop distance d from the
+    center. The center itself (distance 0, weight 1) is included in both
+    the sum and the divisor, and the box size is the radius. Returns
+    ``(fuzzy count, real count)``. Weights are accumulated shell by shell so
+    the result is bit-identical under any node relabeling.
     """
-    if not 1 <= r <= dfield.d_max:
-        raise ValueError(f"radius {r} outside 1..{dfield.d_max}")
-    box = float(r) if eps is None else eps
+    d_max = len(shell_counts) - 1
+    if not 1 <= r <= d_max:
+        raise ValueError(f"radius {r} outside 1..{d_max}")
     total = 0.0
     count = 0
     for shell_r in range(r + 1):
-        shell = dfield.shell_counts[shell_r]
-        total += shell * membership(shell_r, box)
+        shell = shell_counts[shell_r]
+        total += shell * membership(shell_r, r)
         count += shell
     return total / count, count
 
 
-def fuzzy_count_series(
-    dfield: DistanceField, params: MembershipParams | None = None
-) -> FuzzyCountSeries:
+def fuzzy_count_series(shell_counts: tuple[int, ...]) -> FuzzyCountSeries:
     """Fuzzy counts for every radius the center can see (1..d_max)."""
-    params = params or MembershipParams()
-    radii = tuple(range(1, dfield.d_max + 1))
+    radii = tuple(range(1, len(shell_counts)))
     counts: list[float] = []
     reals: list[int] = []
     for r in radii:
-        c, real = fuzzy_count(dfield, r, eps=params.fixed_eps)
+        c, real = fuzzy_count(shell_counts, r)
         counts.append(c)
         reals.append(real)
-    return FuzzyCountSeries(dfield.source, radii, tuple(counts), tuple(reals))
+    return FuzzyCountSeries(radii, tuple(counts), tuple(reals))
 
 
-def fuzzy_local_dimension(
-    g: Graph,
-    dfields: tuple[DistanceField, ...] | None = None,
-    params: MembershipParams | None = None,
-) -> ScoreVector:
+def fuzzy_local_dimension(g: Graph) -> ScoreVector:
     """Fuzzy local dimension of every node; larger means more influential.
 
     Per node, the slope of ln(fuzzy count) against ln(radius) over radii
@@ -109,16 +85,13 @@ def fuzzy_local_dimension(
     Nodes seeing fewer than two radii cannot be fitted; they are flagged
     undefined and carry sentinel score 0, which keeps rankings total.
     """
-    if dfields is None:
-        dfields = all_distance_fields(g)
-    params = params or MembershipParams()
     scores = np.zeros(g.node_count, dtype=np.float64)
     undefined = np.zeros(g.node_count, dtype=bool)
-    for i, df in enumerate(dfields):
-        if df.d_max < 2:
+    for i, shells in enumerate(g.shell_counts):
+        if len(shells) < 3:  # d_max < 2
             undefined[i] = True
             continue
-        series = fuzzy_count_series(df, params)
+        series = fuzzy_count_series(shells)
         xs = [math.log(r) for r in series.radii]
         ys = [math.log(c) for c in series.counts]
         scores[i] = ols_slope(xs, ys)

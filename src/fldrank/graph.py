@@ -1,4 +1,4 @@
-"""Undirected simple graphs: edge-list ingestion, BFS distance fields, components.
+"""Undirected simple graphs: edge-list ingestion, BFS shell counts, components.
 
 Graphs are immutable once built. Internal node IDs are dense integers
 0..node_count-1; external labels are arbitrary strings and are never assumed
@@ -73,6 +73,11 @@ class Graph:
     def label_to_id(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.node_labels)}
 
+    @cached_property
+    def shell_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Per source node, the number of nodes at each hop distance 0..eccentricity."""
+        return all_distance_fields(self)
+
     @property
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self.adjacency) // 2
@@ -117,13 +122,14 @@ class ComponentMap:
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse one edge per line as two whitespace-separated labels.
 
-    Blank lines and lines starting with '#' or '%' are ignored; both LF and
-    CRLF line endings are accepted. Duplicate edges collapse silently.
+    Bytes are decoded as UTF-8, dropping a leading byte-order mark. Blank
+    lines and lines starting with '#' or '%' are ignored; both LF and CRLF
+    line endings are accepted. Duplicate edges collapse silently.
     Self-loops are dropped and reported through a single warning carrying
     the dropped count; the looped label still becomes a node.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = text.decode("utf-8-sig")
     mentions: list[str] = []
     edges: list[tuple[str, str]] = []
     self_loops = 0
@@ -152,11 +158,7 @@ def load_edge_list(path: str | Path) -> Graph:
 
 
 def bfs_distances(g: Graph, source: int) -> DistanceField:
-    """Exact hop distances from ``source`` by breadth-first search.
-
-    Pure function of (g, source); callers may run one BFS per source in
-    parallel.
-    """
+    """Exact hop distances from ``source`` by breadth-first search."""
     if not 0 <= source < g.node_count:
         raise ValueError(f"source {source} out of range for {g.node_count} nodes")
     dist = [UNREACHABLE] * g.node_count
@@ -176,9 +178,13 @@ def bfs_distances(g: Graph, source: int) -> DistanceField:
     return DistanceField(source, tuple(dist), d_max, tuple(shells))
 
 
-def all_distance_fields(g: Graph) -> tuple[DistanceField, ...]:
-    """One BFS per node, indexed by source ID."""
-    return tuple(bfs_distances(g, s) for s in range(g.node_count))
+def all_distance_fields(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """One BFS per node, keeping only its shell counts; indexed by source ID.
+
+    Read it through the cached ``Graph.shell_counts`` rather than calling it
+    directly, so a graph pays for the pass once.
+    """
+    return tuple(bfs_distances(g, s).shell_counts for s in range(g.node_count))
 
 
 def connected_components(g: Graph) -> ComponentMap:
@@ -203,10 +209,6 @@ def connected_components(g: Graph) -> ComponentMap:
     return ComponentMap(tuple(comp), tuple(sizes))
 
 
-def diameter(g: Graph, dfields: tuple[DistanceField, ...] | None = None) -> int:
+def diameter(g: Graph) -> int:
     """Largest finite eccentricity over all nodes; 0 for an empty graph."""
-    if g.node_count == 0:
-        return 0
-    if dfields is None:
-        dfields = all_distance_fields(g)
-    return max(df.d_max for df in dfields)
+    return max((len(shells) - 1 for shells in g.shell_counts), default=0)

@@ -7,15 +7,12 @@ a susceptible node with k infected neighbors flips with probability
 wavefront from the seed set, which anchors the tests.
 
 Replicate k draws from an RNG substream derived deterministically from
-(rng_seed, k), so ensembles are byte-identical no matter how replicates are
-scheduled across workers. FLDRANK_THREADS caps the worker pool (0 = one
-worker per CPU; unset = serial).
+(rng_seed, k), so its trajectory does not depend on how many replicates
+run alongside it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,19 +73,6 @@ class TrajectoryEnsemble:
 def lambda_from_beta(beta: float) -> float:
     """Spreading rate (1/2)**beta."""
     return 0.5 ** beta
-
-
-def worker_count() -> int:
-    """Worker cap from FLDRANK_THREADS; 0 means one per CPU, unset means serial."""
-    raw = os.environ.get("FLDRANK_THREADS", "").strip()
-    if not raw:
-        return 1
-    value = int(raw)
-    if value < 0:
-        raise ValueError("FLDRANK_THREADS must be >= 0")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
 
 
 def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
@@ -153,7 +137,7 @@ def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> Traje
     """Run the configured replicates and aggregate their trajectories.
 
     Deterministic given cfg: replicate k always uses the substream derived
-    from (cfg.rng_seed, k), independent of execution order or worker count.
+    from (cfg.rng_seed, k), independent of the replicate count.
     """
     for s in cfg.seeds:
         if not 0 <= s < g.node_count:
@@ -163,15 +147,10 @@ def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> Traje
     else:
         max_steps = 10 * max(diameter(g), 1)
 
-    def run(k: int) -> SiTrajectory:
-        return _run_replicate(g, cfg.seeds, cfg.lam, max_steps, replicate_rng(cfg.rng_seed, k))
-
-    workers = worker_count()
-    if workers > 1 and cfg.replicates > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = tuple(pool.map(run, range(cfg.replicates)))
-    else:
-        trajectories = tuple(run(k) for k in range(cfg.replicates))
+    trajectories = tuple(
+        _run_replicate(g, cfg.seeds, cfg.lam, max_steps, replicate_rng(cfg.rng_seed, k))
+        for k in range(cfg.replicates)
+    )
 
     length = max(len(tr.f) for tr in trajectories)
     table = np.array(

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import fldrank.graph
 from fldrank.cli import main
 from fldrank.datasets import karate_path, kite_path
 
@@ -216,6 +217,38 @@ def test_compare_full_k_is_all_nodes(capsys):
     assert header == ["measure_a", "measure_b", "k", "overlap"]
     assert len(rows) == 36
     assert all(row[3] == "10" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--k", "0"],
+        ["si", "--top", "-3", "--measure", "dc", "--lambda", "0.5"],
+        ["si", "--seeds", "7", "--lambda", "0.5", "--replicates", "0"],
+        ["tau", "--measure", "dc", "--replicates", "-1"],
+        ["tau", "--measure", "dc", "--t-eval", "0"],
+    ],
+)
+def test_non_positive_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--input", str(kite_path()), *argv[1:]])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_compare_runs_one_all_sources_pass(monkeypatch, capsys):
+    real = fldrank.graph.all_distance_fields
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(fldrank.graph, "all_distance_fields", spy)
+    code, out, _ = run(capsys, ["compare", "--input", str(karate_path()), "--k", "5"])
+    assert code == 0
+    assert len(rows_of(out)[1]) == 36
+    assert len(calls) == 1
 
 
 def test_compare_diagonal_and_known_cells(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import closed_form_slope, cycle_graph, random_graph, relabeled, scores_by_label
 from fldrank import (
     Graph,
-    MembershipParams,
     bfs_distances,
     connected_components,
     fuzzy_count,
@@ -67,43 +66,26 @@ def test_membership_monotonic(d, eps):
 
 
 def test_fuzzy_counts_around_kite_center(kite):
-    df = bfs_distances(kite, kite.label_to_id["7"])
+    shells = kite.shell_counts[kite.label_to_id["7"]]
     expected = {1: (0.4582, 7), 2: (0.7551, 8), 3: (0.8198, 9), 4: (0.8353, 10)}
     for r, (value, real) in expected.items():
-        fuzzy, count = fuzzy_count(df, r)
+        fuzzy, count = fuzzy_count(shells, r)
         assert fuzzy == pytest.approx(value, abs=1e-4)
         assert count == real
 
 
 def test_fuzzy_count_rejects_radius_out_of_range(kite):
-    df = bfs_distances(kite, kite.label_to_id["7"])
+    shells = kite.shell_counts[kite.label_to_id["7"]]
     for r in (0, 5, -1):
         with pytest.raises(ValueError):
-            fuzzy_count(df, r)
-
-
-def test_fuzzy_count_with_fixed_box_size(kite):
-    df = bfs_distances(kite, kite.label_to_id["7"])
-    fuzzy, count = fuzzy_count(df, 1, eps=3.0)
-    assert fuzzy == pytest.approx((6 * math.exp(-1 / 9) + 1) / 7, abs=1e-12)
-    assert count == 7
-
-
-def test_membership_params_validation():
-    MembershipParams()
-    MembershipParams(fixed_eps=2.5)
-    with pytest.raises(ValueError):
-        MembershipParams(fixed_eps=0.0)
-    with pytest.raises(ValueError):
-        MembershipParams(fixed_eps=-1.0)
+            fuzzy_count(shells, r)
 
 
 def test_series_shape_and_invariants(kite):
     comp = connected_components(kite)
     for source in range(kite.node_count):
         df = bfs_distances(kite, source)
-        series = fuzzy_count_series(df)
-        assert series.center == source
+        series = fuzzy_count_series(df.shell_counts)
         assert series.radii == tuple(range(1, df.d_max + 1))
         for c in series.counts:
             assert 0.0 < c <= 1.0
@@ -120,8 +102,7 @@ def test_series_shape_and_invariants(kite):
 def test_fuzzy_mass_strictly_grows_with_radius(seed, n, p):
     g = random_graph(np.random.default_rng(seed), n, p)
     for source in range(g.node_count):
-        df = bfs_distances(g, source)
-        series = fuzzy_count_series(df)
+        series = fuzzy_count_series(bfs_distances(g, source).shell_counts)
         masses = [c * real for c, real in zip(series.counts, series.real_counts)]
         for a, b in zip(masses, masses[1:]):
             assert b > a
@@ -147,7 +128,7 @@ def test_slope_matches_independent_regression(kite, karate):
             df = bfs_distances(g, i)
             if df.d_max < 2:
                 continue
-            series = fuzzy_count_series(df)
+            series = fuzzy_count_series(df.shell_counts)
             xs = [math.log(r) for r in series.radii]
             ys = [math.log(c) for c in series.counts]
             assert abs(sv.scores[i] - closed_form_slope(xs, ys)) < 1e-12
@@ -207,12 +188,6 @@ def test_relabeling_permutes_scores_exactly(seed, n, p):
     a = scores_by_label(g, fuzzy_local_dimension(g))
     b = scores_by_label(h, fuzzy_local_dimension(h))
     assert {mapping[k]: v for k, v in a.items()} == b
-
-
-def test_fixed_box_size_changes_scores(kite):
-    default = fuzzy_local_dimension(kite)
-    pinned = fuzzy_local_dimension(kite, params=MembershipParams(fixed_eps=2.0))
-    assert not np.allclose(default.scores, pinned.scores)
 
 
 def test_disconnected_center_uses_own_component_only():

@@ -8,12 +8,12 @@ from fldrank import (
     UNREACHABLE,
     EdgeListError,
     Graph,
-    all_distance_fields,
     bfs_distances,
     connected_components,
     diameter,
     parse_edge_list,
 )
+from fldrank.datasets import kite_path
 
 
 def test_parse_path_graph():
@@ -46,6 +46,12 @@ def test_parse_comments_blanks_and_crlf():
     g = parse_edge_list(b"# header\r\n% other comment\r\n\r\n1 2\r\n2 3\n")
     assert g.node_count == 3
     assert g.edge_count == 2
+
+
+def test_parse_drops_utf8_byte_order_mark(kite):
+    g = parse_edge_list(b"\xef\xbb\xbf" + kite_path().read_bytes())
+    assert g.node_labels == kite.node_labels
+    assert g.adjacency == kite.adjacency
 
 
 def test_parse_malformed_line_reports_line_number():
@@ -158,12 +164,13 @@ def test_diameter_values(kite):
 )
 def test_bfs_invariants_on_random_graphs(seed, n, p):
     g = random_graph(np.random.default_rng(seed), n, p)
-    fields = all_distance_fields(g)
+    fields = [bfs_distances(g, s) for s in range(n)]
     comp = connected_components(g)
     for i in range(n):
         for j in range(n):
             assert fields[i].dist[j] == fields[j].dist[i]
     for s in range(n):
+        assert g.shell_counts[s] == fields[s].shell_counts
         assert fields[s].dist[s] == 0
         assert sum(fields[s].shell_counts) == comp.component_sizes[comp.component_id[s]]
         for v in range(n):

@@ -16,7 +16,6 @@ from fldrank import (
     si_step,
     simulate,
     spreading_ability,
-    worker_count,
 )
 
 
@@ -190,27 +189,12 @@ def test_identical_config_identical_ensemble(karate):
     assert a.std_f == b.std_f
 
 
-def test_thread_count_does_not_change_results(karate, monkeypatch):
-    cfg = SiConfig(lam=0.25, seeds=(1, 2, 3), replicates=16, rng_seed=4)
-    monkeypatch.setenv("FLDRANK_THREADS", "1")
-    serial = simulate(karate, cfg, keep_replicates=True)
-    monkeypatch.setenv("FLDRANK_THREADS", "4")
-    threaded = simulate(karate, cfg, keep_replicates=True)
-    assert serial.mean_f == threaded.mean_f
-    assert serial.std_f == threaded.std_f
-    assert serial.trajectories == threaded.trajectories
+def test_replicate_trajectory_does_not_depend_on_replicate_count(karate):
+    def run(replicates):
+        cfg = SiConfig(lam=0.25, seeds=(1, 2, 3), replicates=replicates, rng_seed=4)
+        return simulate(karate, cfg, keep_replicates=True).trajectories
 
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("FLDRANK_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("FLDRANK_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("FLDRANK_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("FLDRANK_THREADS", "-2")
-    with pytest.raises(ValueError):
-        worker_count()
+    assert run(16)[:8] == run(8)
 
 
 # --- per-node spreading ability ----------------------------------------------
