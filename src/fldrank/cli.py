@@ -13,12 +13,13 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
 from .centrality import Measure, PowerIterationError, rank_nodes
 from .evaluation import compute_measure, tau_sweep, top_k_overlap
-from .graph import Graph, load_edge_list
+from .graph import Graph, parse_edge_list
 from .si import SiConfig, lambda_from_beta, simulate
 
 _SCHEMAS = {
@@ -55,16 +56,19 @@ def _render(schema: str, rows, output: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, command: str, schema: str, rows, params: dict) -> None:
+def _load(args) -> tuple[Graph, str]:
+    """Read the input file once; return its graph and the sha256 of those bytes."""
+    data = Path(args.input).read_bytes()
+    return parse_edge_list(data), hashlib.sha256(data).hexdigest()
+
+
+def _emit(args, sha256: str, command: str, schema: str, rows, params: dict) -> None:
     payload = _render(schema, rows, args.output)
     manifest = {
         "tool": "fldrank",
         "version": __version__,
         "command": command,
-        "input": {
-            "path": str(args.input),
-            "sha256": hashlib.sha256(Path(args.input).read_bytes()).hexdigest(),
-        },
+        "input": {"path": str(args.input), "sha256": sha256},
         "params": params,
         "output": {"format": args.output, "path": str(args.out) if args.out else None},
     }
@@ -138,7 +142,7 @@ def _resolve_seeds(g: Graph, args) -> tuple[tuple[int, ...], list[str]]:
 
 
 def cmd_rank(args) -> int:
-    g = load_edge_list(args.input)
+    g, sha256 = _load(args)
     ranking = rank_nodes(compute_measure(g, args.measure), g.node_labels)
     rows = [
         (pos, label, score, undefined)
@@ -146,12 +150,12 @@ def cmd_rank(args) -> int:
             zip(ranking.labels, ranking.scores, ranking.undefined), start=1
         )
     ]
-    _emit(args, "rank", "rank", rows, {"measure": args.measure.value})
+    _emit(args, sha256, "rank", "rank", rows, {"measure": args.measure.value})
     return 0
 
 
 def cmd_si(args) -> int:
-    g = load_edge_list(args.input)
+    g, sha256 = _load(args)
     lam = args.lam if args.lam is not None else lambda_from_beta(args.beta)
     seeds, seed_labels = _resolve_seeds(g, args)
     cfg = SiConfig(
@@ -176,12 +180,12 @@ def cmd_si(args) -> int:
         "rng_seed": args.rng_seed,
         "max_steps": args.max_steps,
     }
-    _emit(args, "si", "trajectory", rows, params)
+    _emit(args, sha256, "si", "trajectory", rows, params)
     return 0
 
 
 def cmd_tau(args) -> int:
-    g = load_edge_list(args.input)
+    g, sha256 = _load(args)
     sv = compute_measure(g, args.measure)
     results = tau_sweep(
         g,
@@ -199,12 +203,12 @@ def cmd_tau(args) -> int:
         "replicates": args.replicates,
         "rng_seed": args.rng_seed,
     }
-    _emit(args, "tau", "tau", rows, params)
+    _emit(args, sha256, "tau", "tau", rows, params)
     return 0
 
 
 def cmd_compare(args) -> int:
-    g = load_edge_list(args.input)
+    g, sha256 = _load(args)
     rankings = {
         m: rank_nodes(compute_measure(g, m), g.node_labels) for m in args.measures
     }
@@ -214,7 +218,7 @@ def cmd_compare(args) -> int:
         for b in args.measures
     ]
     params = {"measures": [m.value for m in args.measures], "k": args.k}
-    _emit(args, "compare", "overlap", rows, params)
+    _emit(args, sha256, "compare", "overlap", rows, params)
     return 0
 
 
@@ -271,13 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (PowerIterationError, ValueError, OSError) as exc:  # EdgeListError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one "warning: ..." line per library warning, without its source line
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (PowerIterationError, ValueError, OSError) as exc:  # EdgeListError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -6,18 +6,29 @@ a susceptible node with k infected neighbors flips with probability
 1 - (1 - lam)^k. With lam = 1 the process reduces exactly to the BFS
 wavefront from the seed set, which anchors the tests.
 
-Replicate k draws from an RNG substream derived deterministically from
-(rng_seed, k), so its trajectory does not depend on how many replicates
-run alongside it.
+Replicates run as a batch of boolean state rows over the graph's cached CSR
+contact arrays (``Graph.edge_arrays``): each ``si_step`` visits the contacts
+of the infected nodes only and keeps those whose target is still
+susceptible, and a row stops once it has infected the seeds' whole
+components, when no such contact is left. Replicate k draws one uniform per
+open contact, in contact order, from an RNG substream derived
+deterministically from (rng_seed, k), so its trajectory does not depend on
+how many replicates run alongside it or on how they are batched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .graph import Graph, diameter
+
+# Contact budget of one replicate batch. A step of R rows visits at most R
+# times the directed edges, so R is this over the edge count (or node count,
+# when larger): the temporaries stay O(E) whatever the replicate count.
+_CHUNK_CONTACTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -87,57 +98,100 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def si_step(
-    g: Graph, infected: np.ndarray, lam: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One synchronous update; returns the IDs newly infected this step.
+def _open_contacts(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and target of every contact from an infected node to a susceptible one.
 
-    Contacts are enumerated in a fixed order (infected sources ascending,
-    neighbors in adjacency order) and consume one uniform draw each, so a
-    given generator state always yields the same outcome.
+    ``infected`` is an (R, n) batch of replicate rows. Only the infected
+    nodes' contacts are visited, row by row in the contact order of
+    ``Graph.edge_arrays``, so a step costs O(R n) plus their degree sum.
     """
-    targets: list[int] = []
-    for v in np.flatnonzero(infected):
-        for u in g.adjacency[int(v)]:
-            if not infected[u]:
-                targets.append(u)
-    if not targets:
-        return np.empty(0, dtype=np.int64)
-    arr = np.asarray(targets, dtype=np.int64)
-    hits = arr[rng.random(arr.size) < lam]
-    return np.unique(hits)
+    offsets, targets = g.edge_arrays
+    rows, nodes = np.nonzero(infected)
+    first = offsets[nodes]
+    degrees = offsets[nodes + 1] - first
+    ends = np.cumsum(degrees)
+    # contact IDs, cell by cell: first, first + 1, ..., first + degree - 1
+    contacts = np.repeat(first - ends + degrees, degrees)
+    contacts += np.arange(contacts.size)
+    reached = targets[contacts]
+    rows = np.repeat(rows, degrees)
+    open_ = ~infected[rows, reached]
+    return rows[open_], reached[open_]
 
 
-def _has_active_contact(g: Graph, infected: np.ndarray) -> bool:
-    for v in np.flatnonzero(infected):
-        for u in g.adjacency[int(v)]:
-            if not infected[u]:
-                return True
-    return False
+def si_step(
+    g: Graph,
+    infected: np.ndarray,
+    lam: float,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> np.ndarray:
+    """One synchronous update; returns the newly infected cells as sorted flat indices.
+
+    ``infected`` is one replicate's (n,) state with ``rng`` its generator, so
+    the indices are node IDs, or an (R, n) batch of replicate rows with
+    ``rng`` a sequence of R generators, one per row, as ``simulate`` steps
+    it. A row's open contacts (infected source, susceptible target) are
+    enumerated in a fixed order (sources ascending, neighbors in adjacency
+    order) and consume one uniform draw each from the row's generator, so a
+    given generator state always yields the same outcome. ``infected`` is
+    not modified.
+    """
+    state = np.atleast_2d(np.asarray(infected, dtype=bool))
+    rngs = [rng] if np.ndim(infected) == 1 else rng
+    rows, targets = _open_contacts(g, state)
+    counts = np.bincount(rows, minlength=len(rngs)).tolist()
+    draws = np.concatenate([r.random(c) for r, c in zip(rngs, counts)])
+    hit = draws < lam
+    newly = np.zeros(state.size, dtype=bool)
+    newly[rows[hit] * g.node_count + targets[hit]] = True
+    return np.flatnonzero(newly)
 
 
-def _run_replicate(
-    g: Graph, seeds: tuple[int, ...], lam: float, max_steps: int, rng: np.random.Generator
-) -> SiTrajectory:
-    infected = np.zeros(g.node_count, dtype=bool)
-    infected[list(seeds)] = True
-    f = [int(infected.sum())]
+def _run_chunk(
+    g: Graph,
+    seeds: tuple[int, ...],
+    lam: float,
+    max_steps: int,
+    rngs: list[np.random.Generator],
+    reach: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one replicate per generator as a batch of boolean state rows.
+
+    Returns the infected count of every row at steps 0..T, where T is the
+    last step any row took (a stopped row keeps its terminal count), and
+    each row's ``terminated_at``. A row stops at the first step with no
+    open contact, which is when it has infected all ``reach`` nodes of the
+    seeds' components, or at the step cap.
+    """
+    n = g.node_count
+    infected = np.zeros((len(rngs), n), dtype=bool)
+    infected[:, list(seeds)] = True
+    f = infected.sum(axis=1)
+    counts = [f.copy()]
+    stopped_at = np.zeros(len(rngs), dtype=np.int64)
+    live = np.arange(len(rngs)) if lam > 0.0 else np.empty(0, dtype=np.intp)
     t = 0
-    while t < max_steps:
-        if lam == 0.0 or not _has_active_contact(g, infected):
+    while live.size and t < max_steps:
+        done = f[live] == reach
+        stopped_at[live[done]] = t
+        live = live[~done]
+        if not live.size:
             break
-        new = si_step(g, infected, lam, rng)
-        infected[new] = True
-        f.append(int(infected.sum()))
+        rows, nodes = np.divmod(si_step(g, infected[live], lam, [rngs[k] for k in live]), n)
+        infected[live[rows], nodes] = True
+        f += np.bincount(live[rows], minlength=len(rngs))
+        counts.append(f.copy())
         t += 1
-    return SiTrajectory(tuple(f), terminated_at=t)
+    stopped_at[live] = t
+    return np.stack(counts, axis=1), stopped_at
 
 
 def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> TrajectoryEnsemble:
     """Run the configured replicates and aggregate their trajectories.
 
     Deterministic given cfg: replicate k always uses the substream derived
-    from (cfg.rng_seed, k), independent of the replicate count.
+    from (cfg.rng_seed, k), independent of the replicate count and of how
+    the replicates are batched.
     """
     for s in cfg.seeds:
         if not 0 <= s < g.node_count:
@@ -147,25 +201,45 @@ def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> Traje
     else:
         max_steps = 10 * max(diameter(g), 1)
 
-    trajectories = tuple(
-        _run_replicate(g, cfg.seeds, cfg.lam, max_steps, replicate_rng(cfg.rng_seed, k))
-        for k in range(cfg.replicates)
+    components = g.components
+    reach = sum(
+        components.component_sizes[c] for c in {components.component_id[s] for s in cfg.seeds}
     )
+    chunk = max(1, _CHUNK_CONTACTS // max(g.edge_arrays[1].size, g.node_count))
+    parts: list[np.ndarray] = []
+    stops: list[np.ndarray] = []
+    for first in range(0, cfg.replicates, chunk):
+        rngs = [
+            replicate_rng(cfg.rng_seed, k)
+            for k in range(first, min(first + chunk, cfg.replicates))
+        ]
+        part, stopped_at = _run_chunk(g, cfg.seeds, cfg.lam, max_steps, rngs, reach)
+        parts.append(part)
+        stops.append(stopped_at)
 
-    length = max(len(tr.f) for tr in trajectories)
-    table = np.array(
-        [tr.f + (tr.f[-1],) * (length - len(tr.f)) for tr in trajectories], dtype=np.float64
+    # pad every batch to the longest run by carrying its terminal counts
+    length = max(part.shape[1] for part in parts)
+    counts = np.vstack(
+        [np.pad(part, ((0, 0), (0, length - part.shape[1])), mode="edge") for part in parts]
     )
+    table = counts.astype(np.float64)
     mean = table.mean(axis=0)
     if cfg.replicates > 1:
         std = table.std(axis=0, ddof=1)
     else:
         std = np.zeros(length)
+    trajectories = None
+    if keep_replicates:
+        stopped_at = np.concatenate(stops).tolist()
+        trajectories = tuple(
+            SiTrajectory(tuple(row[: stop + 1]), terminated_at=stop)
+            for row, stop in zip(counts.tolist(), stopped_at)
+        )
     return TrajectoryEnsemble(
         mean_f=tuple(float(v) for v in mean),
         std_f=tuple(float(v) for v in std),
         replicates=cfg.replicates,
-        trajectories=trajectories if keep_replicates else None,
+        trajectories=trajectories,
     )
 
 

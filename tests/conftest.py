@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fldrank import UNREACHABLE, Graph, bfs_distances
+from fldrank import UNREACHABLE, Graph, SiTrajectory, bfs_distances
 from fldrank.datasets import load_karate, load_kite
 
 
@@ -139,6 +139,53 @@ def brute_force_tau(w, v) -> tuple[int, int]:
             elif sign < 0:
                 n_d += 1
     return n_c, n_d
+
+
+def oracle_si_step(
+    g: Graph, infected: np.ndarray, lam: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-contact SI update, one uniform per contact in contact order.
+
+    Walks infected sources ascending, then their neighbors in adjacency
+    order; the batched kernel must consume the same draws in the same order.
+    """
+    targets: list[int] = []
+    for v in np.flatnonzero(infected):
+        for u in g.adjacency[int(v)]:
+            if not infected[u]:
+                targets.append(u)
+    if not targets:
+        return np.empty(0, dtype=np.int64)
+    arr = np.asarray(targets, dtype=np.int64)
+    hits = arr[rng.random(arr.size) < lam]
+    return np.unique(hits)
+
+
+def oracle_trajectory(
+    g: Graph, seeds, lam: float, max_steps: int | None, rng: np.random.Generator
+) -> SiTrajectory:
+    """One replicate, stepped by ``oracle_si_step`` until nothing can change.
+
+    Without a cap, the cap is 10 times the diameter (at least 1), taken
+    from single-source BFS.
+    """
+    if max_steps is None:
+        ecc = (bfs_distances(g, s).d_max for s in range(g.node_count))
+        max_steps = 10 * max(max(ecc, default=0), 1)
+    infected = np.zeros(g.node_count, dtype=bool)
+    infected[list(seeds)] = True
+    f = [int(infected.sum())]
+    t = 0
+    while t < max_steps:
+        has_contact = any(
+            not infected[u] for v in np.flatnonzero(infected) for u in g.adjacency[int(v)]
+        )
+        if lam == 0.0 or not has_contact:
+            break
+        infected[oracle_si_step(g, infected, lam, rng)] = True
+        f.append(int(infected.sum()))
+        t += 1
+    return SiTrajectory(tuple(f), terminated_at=t)
 
 
 def coupled_infected_sets(

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -312,6 +314,38 @@ def test_output_uses_unix_newlines_only(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["rank", "--input", str(kite_path()), "--measure", "dc", "--out", str(out)]) == 0
     assert b"\r" not in out.read_bytes()
+
+
+def test_self_loop_warning_is_one_clean_stderr_line(tmp_path, capsys):
+    looped = tmp_path / "loop.edges"
+    looped.write_text("a b\nb b\n")
+    out = tmp_path / "r.csv"
+    code, _, err = run(
+        capsys, ["rank", "--input", str(looped), "--measure", "dc", "--out", str(out)]
+    )
+    assert code == 0
+    assert err == "warning: dropped 1 self-loop(s)\n"
+    assert ".py:" not in err
+
+
+def test_manifest_hashes_the_bytes_it_parsed(tmp_path, monkeypatch):
+    edges = tmp_path / "g.edges"
+    edges.write_bytes(b"\xef\xbb\xbfa b\r\nb c\n")
+    real = Path.read_bytes
+    reads = []
+
+    def spy(path):
+        if path == edges:
+            reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    out = tmp_path / "r.csv"
+    assert main(["rank", "--input", str(edges), "--measure", "dc", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+    assert manifest["input"]["sha256"] == hashlib.sha256(edges.read_bytes()).hexdigest()
+    assert len(reads) == 1
 
 
 def test_manifest_goes_to_stderr_without_out(capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, random_graph
+import fldrank.graph
+from conftest import cycle_graph, path_graph, random_graph
 from fldrank import (
     UNREACHABLE,
     EdgeListError,
@@ -178,6 +179,38 @@ def test_bfs_invariants_on_random_graphs(seed, n, p):
                 du, dv = fields[s].dist[u], fields[s].dist[v]
                 if du != UNREACHABLE and dv != UNREACHABLE:
                     assert abs(du - dv) <= 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_shell_counts_across_word_boundaries(n):
+    # sources run 64 to a word; sparse random graphs add isolated nodes and
+    # several components
+    g = random_graph(np.random.default_rng(n), n, 1.5 / max(n, 1))
+    if n >= 63:
+        comp = connected_components(g)
+        assert 1 in comp.component_sizes
+        assert sum(size > 1 for size in comp.component_sizes) > 1
+    assert g.shell_counts == tuple(bfs_distances(g, s).shell_counts for s in range(n))
+
+
+@pytest.mark.parametrize("g", [path_graph(130), cycle_graph(65)], ids=["path130", "cycle65"])
+def test_shell_counts_on_long_paths_across_words(g):
+    assert g.shell_counts == tuple(
+        bfs_distances(g, s).shell_counts for s in range(g.node_count)
+    )
+
+
+def test_shell_pass_falls_back_to_bfs_from_the_first_deep_block(monkeypatch):
+    # a 70-node star, then a 600-node path: sources 0-63 lie in the star, two
+    # levels deep; the next block reaches into the path and runs past the
+    # word pass's level limit
+    edges = [("c", f"l{i}") for i in range(69)] + [(f"p{i}", f"p{i + 1}") for i in range(599)]
+    g = Graph.build(edges)
+    real = fldrank.graph.bfs_distances
+    calls = []
+    monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
+    assert g.shell_counts == tuple(real(g, s).shell_counts for s in range(g.node_count))
+    assert calls == list(range(64, g.node_count))
 
 
 def _canonical(g: Graph):

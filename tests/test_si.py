@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupled_infected_sets, path_graph, random_graph, star_graph
+import fldrank.si
+from conftest import (
+    coupled_infected_sets,
+    oracle_si_step,
+    oracle_trajectory,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 from fldrank import (
     Graph,
     SiConfig,
@@ -155,6 +163,72 @@ def test_padding_aligns_replicates_of_different_length():
     assert len(ensemble.std_f) == length
     assert max(len(tr.f) for tr in ensemble.trajectories) == length
     assert any(len(tr.f) < length for tr in ensemble.trajectories)
+
+
+# --- batched kernel against the per-contact oracle ----------------------------
+
+
+def _two_component_graph():
+    g = Graph.build([("a", "b"), ("b", "c"), ("c", "d"), ("x", "y"), ("y", "z"), ("z", "x")])
+    return g, (g.label_to_id["b"], g.label_to_id["y"])
+
+
+@pytest.mark.parametrize("graph", ["kite", "karate", "path", "two components"])
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.35, 1.0])
+@pytest.mark.parametrize("max_steps", [0, 3, None])
+def test_simulate_matches_per_contact_oracle(graph, lam, max_steps, request):
+    if graph == "two components":
+        g, seeds = _two_component_graph()
+    elif graph == "path":
+        g, seeds = path_graph(7), (3,)
+    else:
+        g, seeds = request.getfixturevalue(graph), (0,)
+    cfg = SiConfig(lam=lam, seeds=seeds, replicates=12, max_steps=max_steps, rng_seed=21)
+    expected = tuple(
+        oracle_trajectory(g, cfg.seeds, lam, max_steps, replicate_rng(21, k)) for k in range(12)
+    )
+    assert simulate(g, cfg, keep_replicates=True).trajectories == expected
+
+
+def test_step_matches_per_contact_oracle(karate):
+    rng = np.random.default_rng(2)
+    for k in range(20):
+        infected = rng.random(karate.node_count) < 0.3
+        new = si_step(karate, infected, 0.4, replicate_rng(5, k))
+        assert new.tolist() == oracle_si_step(karate, infected, 0.4, replicate_rng(5, k)).tolist()
+
+
+def test_batch_step_matches_row_by_row_steps(karate):
+    batch = np.random.default_rng(4).random((5, karate.node_count)) < 0.3
+    new = si_step(karate, batch, 0.4, [replicate_rng(9, k) for k in range(5)])
+    rows, nodes = np.divmod(new, karate.node_count)
+    for k in range(5):
+        expected = si_step(karate, batch[k], 0.4, replicate_rng(9, k))
+        assert nodes[rows == k].tolist() == expected.tolist()
+
+
+def test_simulate_steps_each_batch_through_si_step(karate, monkeypatch):
+    # per-step time and infection counts are attributed to si_step
+    real = fldrank.si.si_step
+    sizes = []
+
+    def spy(*args):
+        new = real(*args)
+        sizes.append(new.size)
+        return new
+
+    monkeypatch.setattr(fldrank.si, "si_step", spy)
+    cfg = SiConfig(lam=0.2, seeds=(0,), replicates=10, max_steps=5, rng_seed=1)
+    ensemble = simulate(karate, cfg, keep_replicates=True)
+    assert len(sizes) == max(tr.terminated_at for tr in ensemble.trajectories)
+    assert sum(sizes) == sum(tr.f[-1] - tr.f[0] for tr in ensemble.trajectories)
+
+
+def test_ensemble_does_not_depend_on_batch_size(karate, monkeypatch):
+    cfg = SiConfig(lam=0.15, seeds=(0, 33), replicates=30, rng_seed=6)
+    batched = simulate(karate, cfg, keep_replicates=True)
+    monkeypatch.setattr(fldrank.si, "_CHUNK_CONTACTS", 1)  # one replicate per batch
+    assert simulate(karate, cfg, keep_replicates=True) == batched
 
 
 # --- monotone coupling ------------------------------------------------------
