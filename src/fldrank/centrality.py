@@ -8,14 +8,21 @@ influential". All operations are pure functions of the immutable graph.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
 import numpy as np
 
-from .graph import Graph, connected_components
+from .graph import Graph, contact_ids
+
+# Contact budget of one betweenness source block. A block of w sources
+# holds w * n cells, w copies of the contact arrays and up to w times the
+# directed edges as DAG edges, so w is this over the directed edge count
+# (or node count, when larger): a block holds about this many entries of
+# each kind, however many sources the graph has.
+_BLOCK_CONTACTS = 2**16
+_INT64_LIMIT = 2**63
 
 
 class SortDirection(Enum):
@@ -169,38 +176,91 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     target), so v's contribution for this source is sigma[v] *
     downstream[v], and downstream[source] is the source's share of the
     denominator.
+
+    Both sweeps (Brandes, J. Math. Sociol. 2001) run level by level over the
+    CSR contact arrays for a block of sources at once. The counts are int64;
+    a block whose counts could reach 2**63 runs again on Python ints, so the
+    results stay exact.
     """
     n = g.node_count
-    numerators = [0] * n
+    offsets, targets = g.edge_arrays
+    width = max(1, min(n, _BLOCK_CONTACTS // max(targets.size, n, 1)))
+    degrees = np.diff(offsets)
+    # contact c of source row b, at b * E + c: the cells of its two ends
+    rows = np.arange(width)[:, None] * n
+    heads = (rows + targets).ravel()
+    tails = (rows + np.repeat(np.arange(n), degrees)).ravel()
+    max_degree = int(degrees.max(initial=0))
+    numerators = np.zeros(n, dtype=object)
     denominator = 0
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        dist[s] = 0
-        sigma[s] = 1
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in g.adjacency[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-                if dist[u] == dist[v] + 1:
-                    sigma[u] += sigma[v]
-        downstream = [0] * n
-        for v in reversed(order):
-            acc = 0
-            for u in g.adjacency[v]:
-                if dist[u] == dist[v] + 1:
-                    acc += 1 + downstream[u]
-            downstream[v] = acc
-        denominator += downstream[s]
-        for v in order:
-            if v != s:
-                numerators[v] += sigma[v] * downstream[v]
-    return numerators, denominator
+    for first in range(0, n, width):
+        sources = np.arange(first, min(first + width, n))
+        counts = _block_path_counts(offsets, heads, tails, max_degree, sources, np.int64)
+        if counts is None:
+            counts = _block_path_counts(offsets, heads, tails, max_degree, sources, object)
+        part, share = counts
+        numerators += part.astype(object)
+        denominator += share
+    return numerators.tolist(), denominator
+
+
+def _block_path_counts(
+    offsets: np.ndarray,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    max_degree: int,
+    sources: np.ndarray,
+    dtype,
+) -> tuple[np.ndarray, int] | None:
+    """Numerator parts and denominator share of a block of sources.
+
+    Cell ``b * n + v`` holds node v as seen from ``sources[b]``. The forward
+    sweep expands only the frontier cells' contacts and keeps those that
+    reach unseen cells: they are that level's shortest-path DAG edges, along
+    which sigma flows. The backward sweep replays them in reverse to sum
+    downstream counts. With ``dtype`` int64, returns None as soon as a count
+    could reach 2**63: the bound runs ahead of each backward level, since a
+    node gathers from at most ``max_degree`` DAG neighbors.
+    """
+    n = offsets.size - 1
+    width = sources.size
+    checked = dtype is not object
+    cells = np.arange(width) * n + sources
+    unseen = np.ones(width * n, dtype=bool)
+    unseen[cells] = False
+    sigma = np.zeros(width * n, dtype=dtype)
+    sigma[cells] = 1
+    slot = np.empty(width * n, dtype=np.intp)
+    dag: list[tuple[np.ndarray, np.ndarray]] = []
+    frontier = cells
+    while frontier.size:
+        row, nodes = np.divmod(frontier, n)
+        contacts, _ = contact_ids(offsets, nodes, row * offsets[-1])
+        head = heads[contacts]
+        fresh = np.flatnonzero(unseen[head])
+        head, tail = head[fresh], tails[contacts[fresh]]
+        unseen[head] = False
+        np.add.at(sigma, head, sigma[tail])
+        dag.append((tail, head))
+        # one entry per distinct head cell: the last contact written into its slot
+        order = np.arange(head.size)
+        slot[head] = order
+        frontier = head[slot[head] == order]
+    # sigma[t] counts some of the paths that down[source] counts, so bounding
+    # down bounds sigma too: a wrapped sigma is never used
+    down = np.zeros(width * n, dtype=dtype)
+    top_down = 0
+    for tail, head in reversed(dag):
+        if checked and (top_down + 1) * max_degree >= _INT64_LIMIT:
+            return None
+        np.add.at(down, tail, 1 + down[head])
+        top_down = max(top_down, int(down[tail].max(initial=0)))
+    # per node, the block sums up to width products sigma * down
+    if checked and int(sigma.max()) * top_down * width >= _INT64_LIMIT:
+        return None
+    share = int(down[cells].sum())
+    down[cells] = 0
+    return (sigma * down).reshape(width, n).sum(axis=0), share
 
 
 def betweenness_centrality(g: Graph) -> ScoreVector:
@@ -234,41 +294,38 @@ def eigenvector_centrality(
     undefined = np.ones(g.node_count, dtype=bool)
     if g.edge_count == 0:
         return ScoreVector(Measure.EC, scores, undefined), float("nan")
-    comp = connected_components(g)
+    comp = np.asarray(g.components.component_id, dtype=np.intp)
+    sizes = np.asarray(g.components.component_sizes)
     # size ties broken by smallest member label, so the choice depends on
     # the labeled graph only, not on input order
-    smallest_label = {}
-    for i in range(g.node_count):
-        cid = comp.component_id[i]
-        key = label_sort_key(g.node_labels[i])
-        if cid not in smallest_label or key < smallest_label[cid]:
-            smallest_label[cid] = key
-    largest = min(
-        range(len(comp.component_sizes)),
-        key=lambda c: (-comp.component_sizes[c], smallest_label[c]),
-    )
-    members = np.array(
-        [i for i in range(g.node_count) if comp.component_id[i] == largest], dtype=np.int64
-    )
-    pos = {int(v): k for k, v in enumerate(members)}
-    m = len(members)
-    adj = np.zeros((m, m), dtype=np.float64)
-    for v in members:
-        for u in g.adjacency[int(v)]:
-            adj[pos[int(v)], pos[u]] = 1.0
+    tied = np.flatnonzero(sizes[comp] == sizes.max()).tolist()
+    first = min(tied, key=lambda i: label_sort_key(g.node_labels[i]))
+    members = np.flatnonzero(comp == comp[first])
+    m = members.size
+    # the component's CSR rows, renumbered 0..m-1; every member has a neighbor
+    offsets, targets = g.edge_arrays
+    contacts, degrees = contact_ids(offsets, members)
+    local = np.zeros(g.node_count, dtype=np.intp)
+    local[members] = np.arange(m)
+    cols = local[targets[contacts]]
+    rowstarts = np.cumsum(degrees) - degrees
+
+    def adj_times(x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x[cols], rowstarts)
+
     x = np.full(m, 1.0 / math.sqrt(m))
     converged = False
     for _ in range(max_iter):
-        y = adj @ x + x
+        y = adj_times(x) + x
         y /= np.linalg.norm(y)
         if np.max(np.abs(y - x)) < tol:
             x = y
             converged = True
             break
         x = y
-    eigenvalue = float(x @ (adj @ x))
+    eigenvalue = float(x @ adj_times(x))
     if not converged:
-        residual = float(np.linalg.norm(adj @ x - eigenvalue * x))
+        residual = float(np.linalg.norm(adj_times(x) - eigenvalue * x))
         raise PowerIterationError(
             f"no convergence within {max_iter} iterations (residual {residual:.3e})"
         )

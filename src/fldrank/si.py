@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, diameter
+from .graph import Graph, contact_ids, diameter
 
 # Contact budget of one replicate batch. A step of R rows visits at most R
 # times the directed edges, so R is this over the edge count (or node count,
@@ -107,12 +107,7 @@ def _open_contacts(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     offsets, targets = g.edge_arrays
     rows, nodes = np.nonzero(infected)
-    first = offsets[nodes]
-    degrees = offsets[nodes + 1] - first
-    ends = np.cumsum(degrees)
-    # contact IDs, cell by cell: first, first + 1, ..., first + degree - 1
-    contacts = np.repeat(first - ends + degrees, degrees)
-    contacts += np.arange(contacts.size)
+    contacts, degrees = contact_ids(offsets, nodes)
     reached = targets[contacts]
     rows = np.repeat(rows, degrees)
     open_ = ~infected[rows, reached]

@@ -7,6 +7,8 @@ they stay independent of the production algorithms they check.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,54 @@ def brute_force_path_counts(g: Graph) -> tuple[list[int], int]:
                 for v in path[1:-1]:
                     numerators[v] += 1
     return numerators, denominator
+
+
+def oracle_path_counts(g: Graph) -> tuple[list[int], int]:
+    """``shortest_path_counts`` as one Python BFS per source on adjacency tuples.
+
+    The per-source loop the CSR block kernel replaced, kept as its exact
+    reference: path counts ``sigma`` forward, downstream counts backward.
+    """
+    n = g.node_count
+    numerators = [0] * n
+    denominator = 0
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[s] = 0
+        sigma[s] = 1
+        order: list[int] = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for u in g.adjacency[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+                if dist[u] == dist[v] + 1:
+                    sigma[u] += sigma[v]
+        downstream = [0] * n
+        for v in reversed(order):
+            acc = 0
+            for u in g.adjacency[v]:
+                if dist[u] == dist[v] + 1:
+                    acc += 1 + downstream[u]
+            downstream[v] = acc
+        denominator += downstream[s]
+        for v in order:
+            if v != s:
+                numerators[v] += sigma[v] * downstream[v]
+    return numerators, denominator
+
+
+def diamond_chain(links: int) -> Graph:
+    """``links`` diamonds end to end: 2**links shortest paths from end to end."""
+    edges = []
+    for i in range(links):
+        for mid in (f"b{i}", f"c{i}"):
+            edges += [(f"a{i}", mid), (mid, f"a{i + 1}")]
+    return Graph.build(edges)
 
 
 def closed_form_slope(x, y) -> float:

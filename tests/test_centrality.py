@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from conftest import (
     closed_form_slope,
     complete_graph,
     cycle_graph,
+    diamond_chain,
+    oracle_path_counts,
     path_graph,
     random_graph,
     relabeled,
     scores_by_label,
     star_graph,
 )
+import fldrank.centrality as centrality
 from fldrank import (
     Graph,
     Measure,
@@ -132,6 +136,67 @@ def test_betweenness_matches_path_enumeration(seed, n, p):
     assert shortest_path_counts(g) == brute_force_path_counts(g)
 
 
+def two_components_and_isolated_nodes() -> Graph:
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("x", "y"), ("y", "z")]
+    return Graph.build(edges, nodes=["lone", "a", "hermit"])
+
+
+def oracle_cases(kite, karate, path_length=300):
+    rng = np.random.default_rng(7)
+    shapes = zip(rng.integers(3, 150, 12), rng.uniform(0.005, 0.2, 12))
+    randoms = [random_graph(rng, int(n), float(p)) for n, p in shapes]
+    return [
+        kite,
+        karate,
+        path_graph(path_length),
+        star_graph(40),
+        two_components_and_isolated_nodes(),
+        Graph.build([]),
+        Graph.build([], nodes=["a"]),
+        Graph.build([], nodes=["a", "b"]),
+        Graph.build([("a", "b")]),
+        *randoms,
+    ]
+
+
+def test_path_counts_match_per_source_oracle(kite, karate):
+    for g in oracle_cases(kite, karate):
+        numerators, denominator = shortest_path_counts(g)
+        assert (numerators, denominator) == oracle_path_counts(g)
+        assert all(type(c) is int for c in [*numerators, denominator])
+
+
+@pytest.mark.parametrize("budget", [1, 2**40])
+def test_path_counts_do_not_depend_on_block_size(kite, karate, monkeypatch, budget):
+    # budget 1 runs one source per block, 2**40 all sources in one block
+    cases = oracle_cases(kite, karate, path_length=60)
+    expected = [shortest_path_counts(g) for g in cases]
+    monkeypatch.setattr(centrality, "_BLOCK_CONTACTS", budget)
+    assert [shortest_path_counts(g) for g in cases] == expected
+
+
+@pytest.mark.parametrize("links", [60, 70])
+def test_path_counts_rerun_exactly_past_int64(karate, monkeypatch, links):
+    # 60 links keep each count below 2**62 but overflow the block's sums of
+    # products; at 70 links the downstream counts themselves pass 2**63
+    dtypes = []
+    block = centrality._block_path_counts
+
+    def spy(*args):
+        dtypes.append(args[-1])
+        return block(*args)
+
+    monkeypatch.setattr(centrality, "_block_path_counts", spy)
+    g = diamond_chain(links)
+    numerators, denominator = shortest_path_counts(g)
+    assert max(numerators) > 2**63 and denominator > 2**links
+    assert (numerators, denominator) == oracle_path_counts(g)
+    assert object in dtypes
+    dtypes.clear()
+    shortest_path_counts(karate)
+    assert object not in dtypes
+
+
 # --- eigenvector ----------------------------------------------------------
 
 
@@ -200,6 +265,58 @@ def test_eigenvector_residual_and_nonnegativity(karate, kite):
 def test_eigenvector_karate_rank1(karate):
     sv, _ = eigenvector_centrality(karate)
     assert top_label(karate, sv) == "34"
+
+
+def connected_random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
+    """Random graph plus a random spanning tree, so it is connected."""
+    g = random_graph(rng, n, p)
+    edges = [(g.node_labels[v], g.node_labels[u]) for v in range(n) for u in g.adjacency[v]]
+    edges += [(str(v), str(rng.integers(v))) for v in range(1, n)]
+    return Graph.build(edges)
+
+
+def test_eigenvector_matches_dense_eigh():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        g = connected_random_graph(rng, int(rng.integers(3, 80)), float(rng.uniform(0.02, 0.3)))
+        adj = np.zeros((g.node_count, g.node_count))
+        for v in range(g.node_count):
+            adj[v, list(g.adjacency[v])] = 1.0
+        values, vectors = np.linalg.eigh(adj)
+        expected = vectors[:, -1] * np.sign(vectors[:, -1].sum())
+        sv, eigenvalue = eigenvector_centrality(g)
+        assert not sv.undefined.any()
+        assert np.allclose(sv.scores, expected, rtol=0, atol=1e-9)
+        assert eigenvalue == pytest.approx(values[-1], abs=1e-9)
+
+
+def test_eigenvector_matches_networkx_on_karate(karate):
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy")  # eigenvector_centrality_numpy runs on scipy
+    graph = nx.Graph()
+    graph.add_nodes_from(range(karate.node_count))
+    graph.add_edges_from((v, u) for v in range(karate.node_count) for u in karate.adjacency[v])
+    expected = nx.eigenvector_centrality_numpy(graph)
+    sv, _ = eigenvector_centrality(karate)
+    assert np.allclose(sv.scores, [expected[v] for v in range(karate.node_count)], atol=1e-9)
+
+
+def test_eigenvector_memory_stays_sparse():
+    # a dense adjacency of 3000 nodes alone would take 3000**2 * 8 bytes = 72 MB
+    n = 3000
+    rng = np.random.default_rng(5)
+    ring = [(str(v), str((v + 1) % n)) for v in range(n)]
+    chords = [(str(a), str(b)) for a, b in rng.integers(n, size=(n, 2))]
+    g = Graph.build(ring + chords)
+    g.edge_arrays, g.components
+    tracemalloc.start()
+    try:
+        sv, _ = eigenvector_centrality(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not sv.undefined.any()
+    assert peak < 4 * 2**20
 
 
 # --- local dimension ------------------------------------------------------
