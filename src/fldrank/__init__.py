@@ -17,7 +17,6 @@ from .centrality import (
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
-    label_sort_key,
     local_dimension,
     ols_slope,
     rank_nodes,
@@ -56,7 +55,6 @@ from .si import (
     SiConfig,
     SiTrajectory,
     TrajectoryEnsemble,
-    derive_seed,
     lambda_from_beta,
     replicate_rng,
     si_step,

@@ -23,6 +23,9 @@ from .graph import Graph, contact_ids
 # each kind, however many sources the graph has.
 _BLOCK_CONTACTS = 2**16
 _INT64_LIMIT = 2**63
+# Power iteration for ec stops once no entry moves by _EC_TOL in one step.
+_EC_TOL = 1e-12
+_EC_MAX_ITER = 10_000
 
 
 class SortDirection(Enum):
@@ -279,9 +282,7 @@ def betweenness_centrality(g: Graph) -> ScoreVector:
     return ScoreVector(Measure.BC, scores, np.zeros(g.node_count, dtype=bool))
 
 
-def eigenvector_centrality(
-    g: Graph, *, tol: float = 1e-12, max_iter: int = 10_000
-) -> tuple[ScoreVector, float]:
+def eigenvector_centrality(g: Graph) -> tuple[ScoreVector, float]:
     """Principal eigenvector of the adjacency matrix, on the largest component.
 
     Power iteration from the uniform vector, renormalized to unit length
@@ -315,10 +316,10 @@ def eigenvector_centrality(
 
     x = np.full(m, 1.0 / math.sqrt(m))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_EC_MAX_ITER):
         y = adj_times(x) + x
         y /= np.linalg.norm(y)
-        if np.max(np.abs(y - x)) < tol:
+        if np.max(np.abs(y - x)) < _EC_TOL:
             x = y
             converged = True
             break
@@ -327,11 +328,30 @@ def eigenvector_centrality(
     if not converged:
         residual = float(np.linalg.norm(adj_times(x) - eigenvalue * x))
         raise PowerIterationError(
-            f"no convergence within {max_iter} iterations (residual {residual:.3e})"
+            f"no convergence within {_EC_MAX_ITER} iterations (residual {residual:.3e})"
         )
     scores[members] = x
     undefined[members] = False
     return ScoreVector(Measure.EC, scores, undefined), eigenvalue
+
+
+def _log_log_slopes(g: Graph, measure: Measure, counts_of) -> ScoreVector:
+    """Per node, the slope of ln(counts[r - 1]) against ln(r) for r = 1..d_max.
+
+    ``counts_of`` maps a node's shell counts to its counts at radii
+    1..d_max. Nodes seeing fewer than two radii have no regression; they
+    are flagged undefined and carry sentinel score 0.
+    """
+    scores = np.zeros(g.node_count, dtype=np.float64)
+    undefined = np.zeros(g.node_count, dtype=bool)
+    for i, shells in enumerate(g.shell_counts):
+        if len(shells) < 3:  # d_max < 2
+            undefined[i] = True
+            continue
+        xs = [math.log(r) for r in range(1, len(shells))]
+        ys = [math.log(c) for c in counts_of(shells)]
+        scores[i] = ols_slope(xs, ys)
+    return ScoreVector(measure, scores, undefined)
 
 
 def local_dimension(g: Graph) -> ScoreVector:
@@ -341,14 +361,4 @@ def local_dimension(g: Graph) -> ScoreVector:
     is the node's local dimension. Nodes seeing fewer than two radii have
     no regression and are flagged undefined.
     """
-    scores = np.zeros(g.node_count, dtype=np.float64)
-    undefined = np.zeros(g.node_count, dtype=bool)
-    for i, shells in enumerate(g.shell_counts):
-        if len(shells) < 3:  # d_max < 2
-            undefined[i] = True
-            continue
-        cumulative = list(accumulate(shells))
-        xs = [math.log(r) for r in range(1, len(shells))]
-        ys = [math.log(cumulative[r]) for r in range(1, len(shells))]
-        scores[i] = ols_slope(xs, ys)
-    return ScoreVector(Measure.LD, scores, undefined)
+    return _log_log_slopes(g, Measure.LD, lambda shells: list(accumulate(shells))[1:])

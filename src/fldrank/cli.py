@@ -81,14 +81,22 @@ def _emit(args, sha256: str, command: str, schema: str, rows, params: dict) -> N
         sys.stderr.write(manifest_text)
 
 
-def _positive_int(raw: str) -> int:
+def _int_at_least(raw: str, low: int, condition: str) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {condition}, got {value}")
     return value
+
+
+def _positive_int(raw: str) -> int:
+    return _int_at_least(raw, 1, "positive")
+
+
+def _non_negative_int(raw: str) -> int:
+    return _int_at_least(raw, 0, "non-negative")
 
 
 def _parse_measure(name: str) -> Measure:
@@ -249,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--beta", type=float, help="infection rate (1/2)**beta")
     rate.add_argument("--lambda", dest="lam", type=float, help="infection rate directly")
     p_si.add_argument("--replicates", type=_positive_int, default=100)
-    p_si.add_argument("--rng-seed", type=int, default=0)
-    p_si.add_argument("--max-steps", type=int, default=None)
+    p_si.add_argument("--rng-seed", type=_non_negative_int, default=0)
+    p_si.add_argument("--max-steps", type=_non_negative_int, default=None)
     p_si.set_defaults(func=cmd_si)
 
     p_tau = sub.add_parser("tau", help="rank correlation against spreading ability")
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tau.add_argument("--t-eval", type=_positive_int, default=10)
     p_tau.add_argument("--replicates", type=_positive_int, default=100)
-    p_tau.add_argument("--rng-seed", type=int, default=0)
+    p_tau.add_argument("--rng-seed", type=_non_negative_int, default=0)
     p_tau.set_defaults(func=cmd_tau)
 
     p_cmp = sub.add_parser("compare", help="pairwise top-k overlap between measures")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,74 +53,27 @@ class TauResult:
     n: int
 
 
-def _count_inversions(values: list[float]) -> int:
-    """Pairs (i < j) with values[i] > values[j], by merge sort. Ties do not count."""
-    a = list(values)
-    n = len(a)
-    buf = [0.0] * n
-    inversions = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            if mid >= hi:
-                continue
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if a[j] < a[i]:
-                    inversions += mid - i
-                    buf[k] = a[j]
-                    j += 1
-                else:
-                    buf[k] = a[i]
-                    i += 1
-                k += 1
-            while i < mid:
-                buf[k] = a[i]
-                i += 1
-                k += 1
-            while j < hi:
-                buf[k] = a[j]
-                j += 1
-                k += 1
-            a[lo:hi] = buf[lo:hi]
-        width *= 2
-    return inversions
-
-
-def _tied_pairs(sorted_values) -> int:
-    """Sum of t*(t-1)/2 over runs of equal values (input must be sorted)."""
-    total = 0
-    run = 1
-    for prev, cur in zip(sorted_values, sorted_values[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
-
-
 def kendall_tau(p: PairedSequence) -> TauResult:
     """Tau over all pairs, with ties counting toward neither side.
 
     Pairs tied in either coordinate contribute to neither n_c nor n_d but
-    stay in the n(n-1)/2 denominator, so ties shrink |tau|. Counting uses
-    the sort-and-merge scheme: after sorting by (w, v), discordant pairs
-    are exactly the strict inversions of the v sequence, and concordant
-    pairs follow from the tie-group counts. Exact integer arithmetic
+    stay in the n(n-1)/2 denominator, so ties shrink |tau|. Knight's method
+    (JASA 1966): after sorting by (w, v), the discordant pairs are exactly
+    the strict inversions of v, counted here by bisecting each v into the
+    sorted prefix before it; the concordant pairs then follow from the
+    tie-group sizes in w, in v and in (w, v). Exact integer arithmetic
     throughout; matches brute-force pair enumeration.
     """
     n = len(p.w)
-    order = sorted(range(n), key=lambda i: (p.w[i], p.v[i]))
-    w_sorted = [p.w[i] for i in order]
-    v_in_w_order = [p.v[i] for i in order]
-    pairs_w = _tied_pairs(w_sorted)
-    pairs_both = _tied_pairs(sorted(zip(w_sorted, v_in_w_order)))
-    pairs_v = _tied_pairs(sorted(p.v))
-    n_d = _count_inversions(v_in_w_order)
+    n_d = 0
+    prefix: list[float] = []
+    for _, v in sorted(zip(p.w, p.v)):
+        n_d += len(prefix) - bisect_right(prefix, v)
+        insort(prefix, v)
+    pairs_w, pairs_v, pairs_both = (
+        sum(t * (t - 1) // 2 for t in Counter(values).values())
+        for values in (p.w, p.v, zip(p.w, p.v))
+    )
     total = n * (n - 1) // 2
     n_c = total - pairs_w - pairs_v + pairs_both - n_d
     tau = (n_c - n_d) / (0.5 * n * (n - 1))

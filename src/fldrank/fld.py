@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .centrality import Measure, ScoreVector, ols_slope
+from .centrality import Measure, ScoreVector, _log_log_slopes
 from .graph import Graph
 
 
@@ -85,14 +83,4 @@ def fuzzy_local_dimension(g: Graph) -> ScoreVector:
     Nodes seeing fewer than two radii cannot be fitted; they are flagged
     undefined and carry sentinel score 0, which keeps rankings total.
     """
-    scores = np.zeros(g.node_count, dtype=np.float64)
-    undefined = np.zeros(g.node_count, dtype=bool)
-    for i, shells in enumerate(g.shell_counts):
-        if len(shells) < 3:  # d_max < 2
-            undefined[i] = True
-            continue
-        series = fuzzy_count_series(shells)
-        xs = [math.log(r) for r in series.radii]
-        ys = [math.log(c) for c in series.counts]
-        scores[i] = ols_slope(xs, ys)
-    return ScoreVector(Measure.FLD, scores, undefined)
+    return _log_log_slopes(g, Measure.FLD, lambda shells: fuzzy_count_series(shells).counts)

@@ -114,9 +114,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self.adjacency) // 2
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
 
 @dataclass(frozen=True)
 class DistanceField:

@@ -238,6 +238,32 @@ def test_non_positive_counts_are_usage_errors(argv, capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["si", "--seeds", "7", "--lambda", "0.5", "--rng-seed", "-1"],
+        ["si", "--seeds", "7", "--lambda", "0.5", "--max-steps", "-2"],
+        ["tau", "--measure", "dc", "--rng-seed", "-5"],
+    ],
+)
+def test_negative_seeds_and_step_caps_are_usage_errors(argv, capsys, tmp_path):
+    # the input does not exist: the arguments must be rejected before it is read
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--input", str(tmp_path / "missing.edges"), *argv[1:]])
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_zero_seed_and_step_cap_are_accepted(capsys):
+    code, out, _ = run(
+        capsys,
+        ["si", "--input", str(kite_path()), "--seeds", "7", "--lambda", "0.5",
+         "--rng-seed", "0", "--max-steps", "0", "--replicates", "2"],
+    )
+    assert code == 0
+    assert rows_of(out)[1] == [["0", "1.000000", "0.000000"]]
+
+
 def test_compare_runs_one_all_sources_pass(monkeypatch, capsys):
     real = fldrank.graph.all_distance_fields
     calls = []

@@ -88,6 +88,19 @@ def test_merge_counting_matches_pair_enumeration(pairs):
     assert (result.n_c, result.n_d) == (n_c, n_d)
 
 
+def test_counting_matches_pair_enumeration_at_size():
+    # 800 pairs over few distinct values, so both coordinates carry long tie
+    # runs, with -0.0 and 0.0 (equal, so tied) mixed into each
+    rng = np.random.default_rng(20260)
+    values = np.array([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0])
+    w = tuple(float(x) for x in rng.choice(values, 800))
+    v = tuple(float(x) for x in rng.choice(values[:-1], 800))
+    assert {math.copysign(1.0, x) for x in w if x == 0} == {-1.0, 1.0}
+    assert {math.copysign(1.0, x) for x in v if x == 0} == {-1.0, 1.0}
+    result = tau_of(w, v)
+    assert (result.n_c, result.n_d) == brute_force_tau(w, v)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
