@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -30,30 +31,21 @@ _SCHEMAS = {
 }
 
 
-def _fmt(value) -> str:
+def _cell(value, output: str):
+    """A row cell as CSV text or a JSON value: bools as 0/1, floats to 6 decimals."""
     if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _json_cell(value):
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float):
-        return round(value, 6)
-    return value
+        value = int(value)
+    elif isinstance(value, float):
+        return f"{value:.6f}" if output == "csv" else round(value, 6)
+    return str(value) if output == "csv" else value
 
 
 def _render(schema: str, rows, output: str) -> str:
     columns = _SCHEMAS[schema]
+    cells = [[_cell(v, output) for v in row] for row in rows]
     if output == "json":
-        body = [dict(zip(columns, (_json_cell(v) for v in row))) for row in rows]
-        return json.dumps(body, indent=2) + "\n"
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+        return json.dumps([dict(zip(columns, row)) for row in cells], indent=2) + "\n"
+    return "\n".join([",".join(columns), *(",".join(row) for row in cells)]) + "\n"
 
 
 def _load(args) -> tuple[Graph, str]:
@@ -99,6 +91,24 @@ def _non_negative_int(raw: str) -> int:
     return _int_at_least(raw, 0, "non-negative")
 
 
+def _float_in(raw: str, low: float, high: float, condition: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not low <= value <= high:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be {condition}, got {value}")
+    return value
+
+
+def _rate(raw: str) -> float:
+    return _float_in(raw, 0.0, 1.0, "in [0, 1]")
+
+
+def _beta(raw: str) -> float:
+    return _float_in(raw, 0.0, math.inf, "non-negative")
+
+
 def _parse_measure(name: str) -> Measure:
     try:
         return Measure(name.lower())
@@ -117,6 +127,8 @@ def _parse_lambda_range(raw: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"expected start:stop:step, got {raw!r}"
         ) from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"expected finite start:stop:step, got {raw!r}")
     if step <= 0 or start > stop:
         raise argparse.ArgumentTypeError("need step > 0 and start <= stop")
     values = []
@@ -127,6 +139,8 @@ def _parse_lambda_range(raw: str) -> list[float]:
             break
         values.append(value)
         k += 1
+    if not 0 < values[0] <= values[-1] <= 1:
+        raise argparse.ArgumentTypeError(f"rates must lie in (0, 1], got {raw!r}")
     return values
 
 
@@ -254,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--top", type=_positive_int, help="seed the top-k nodes of --measure")
     p_si.add_argument("--measure", type=_parse_measure, default=None)
     rate = p_si.add_mutually_exclusive_group(required=True)
-    rate.add_argument("--beta", type=float, help="infection rate (1/2)**beta")
-    rate.add_argument("--lambda", dest="lam", type=float, help="infection rate directly")
+    rate.add_argument("--beta", type=_beta, help="infection rate (1/2)**beta")
+    rate.add_argument("--lambda", dest="lam", type=_rate, help="infection rate directly")
     p_si.add_argument("--replicates", type=_positive_int, default=100)
     p_si.add_argument("--rng-seed", type=_non_negative_int, default=0)
     p_si.add_argument("--max-steps", type=_non_negative_int, default=None)

@@ -8,7 +8,6 @@ to be contiguous numbers.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -76,8 +75,7 @@ class Graph:
         for i, j in pairs:
             adj[i].append(j)
             adj[j].append(i)
-        labels = tuple(sorted(ids, key=ids.__getitem__))
-        return cls(len(ids), labels, tuple(tuple(sorted(ns)) for ns in adj))
+        return cls(len(ids), tuple(ids), tuple(tuple(sorted(ns)) for ns in adj))
 
     @cached_property
     def label_to_id(self) -> dict[str, int]:
@@ -159,7 +157,6 @@ def parse_edge_list(text: str | bytes) -> Graph:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8-sig")
-    mentions: list[str] = []
     edges: list[tuple[str, str]] = []
     self_loops = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -170,15 +167,12 @@ def parse_edge_list(text: str | bytes) -> Graph:
         if len(tokens) != 2:
             raise EdgeListError(f"expected 2 labels, got {len(tokens)}: {raw!r}", lineno)
         a, b = tokens
-        mentions.append(a)
-        mentions.append(b)
         if a == b:
             self_loops += 1
-        else:
-            edges.append((a, b))
+        edges.append((a, b))
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
-    return Graph.build(edges, nodes=mentions)
+    return Graph.build(edges)
 
 
 def load_edge_list(path: str | Path) -> Graph:
@@ -191,20 +185,25 @@ def bfs_distances(g: Graph, source: int) -> DistanceField:
     if not 0 <= source < g.node_count:
         raise ValueError(f"source {source} out of range for {g.node_count} nodes")
     dist = [UNREACHABLE] * g.node_count
+    order = _bfs(g, source, dist)
+    d_max = dist[order[-1]]
+    shells = [0] * (d_max + 1)
+    for v in order:
+        shells[dist[v]] += 1
+    return DistanceField(source, tuple(dist), d_max, tuple(shells))
+
+
+def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
+    """Fill in ``dist`` from ``source`` over nodes still UNREACHABLE; return them in visit order."""
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
+    order = [source]
+    for v in order:  # the list grows while it is read: it is the queue
+        d = dist[v] + 1
         for u in g.adjacency[v]:
             if dist[u] == UNREACHABLE:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    d_max = max(d for d in dist if d != UNREACHABLE)
-    shells = [0] * (d_max + 1)
-    for d in dist:
-        if d != UNREACHABLE:
-            shells[d] += 1
-    return DistanceField(source, tuple(dist), d_max, tuple(shells))
+                dist[u] = d
+                order.append(u)
+    return order
 
 
 def all_distance_fields(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -298,23 +297,15 @@ def contact_ids(
 
 def connected_components(g: Graph) -> ComponentMap:
     """Label components by BFS; IDs follow the smallest node in each component."""
+    dist = [UNREACHABLE] * g.node_count
     comp = [-1] * g.node_count
     sizes: list[int] = []
     for s in range(g.node_count):
-        if comp[s] >= 0:
-            continue
-        cid = len(sizes)
-        comp[s] = cid
-        size = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.adjacency[v]:
-                if comp[u] < 0:
-                    comp[u] = cid
-                    size += 1
-                    queue.append(u)
-        sizes.append(size)
+        if dist[s] == UNREACHABLE:
+            members = _bfs(g, s, dist)
+            for v in members:
+                comp[v] = len(sizes)
+            sizes.append(len(members))
     return ComponentMap(tuple(comp), tuple(sizes))
 
 

@@ -42,6 +42,29 @@ def complete_graph(n: int) -> Graph:
     return Graph.build([(str(i), str(j)) for i in range(n) for j in range(i + 1, n)])
 
 
+def ladder_graph(rungs: int) -> Graph:
+    """Two paths of ``rungs`` nodes, joined rung by rung."""
+    edges = [(f"a{i}", f"b{i}") for i in range(rungs)]
+    for i in range(rungs - 1):
+        edges += [(f"a{i}", f"a{i + 1}"), (f"b{i}", f"b{i + 1}")]
+    return Graph.build(edges)
+
+
+def barabasi_albert_graph(n: int, m: int, seed: int) -> Graph:
+    """Preferential attachment from a star on m + 1 nodes, m distinct targets per new node."""
+    rng = np.random.default_rng(seed)
+    edges = [(0, v) for v in range(1, m + 1)]
+    endpoints = [u for e in edges for u in e]
+    for v in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(endpoints[int(rng.integers(len(endpoints)))])
+        for u in sorted(targets):
+            edges.append((u, v))
+            endpoints += (u, v)
+    return Graph.build((str(a), str(b)) for a, b in edges)
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     """Erdos-Renyi style graph with labels '0'..'n-1'; may be disconnected."""
     edges = [

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    barabasi_albert_graph,
     brute_force_path_counts,
     closed_form_slope,
     complete_graph,
     cycle_graph,
     diamond_chain,
+    ladder_graph,
     oracle_path_counts,
     path_graph,
     random_graph,
@@ -23,6 +25,7 @@ import fldrank.centrality as centrality
 from fldrank import (
     Graph,
     Measure,
+    PowerIterationError,
     ScoreVector,
     SortDirection,
     betweenness_centrality,
@@ -275,19 +278,60 @@ def connected_random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     return Graph.build(edges)
 
 
+def dense_principal_pair(g: Graph) -> tuple[float, np.ndarray]:
+    """Largest adjacency eigenvalue and its eigenvector, summing positive, by dense eigh."""
+    adj = np.zeros((g.node_count, g.node_count))
+    for v in range(g.node_count):
+        adj[v, list(g.adjacency[v])] = 1.0
+    values, vectors = np.linalg.eigh(adj)
+    return values[-1], vectors[:, -1] * np.sign(vectors[:, -1].sum())
+
+
 def test_eigenvector_matches_dense_eigh():
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = connected_random_graph(rng, int(rng.integers(3, 80)), float(rng.uniform(0.02, 0.3)))
-        adj = np.zeros((g.node_count, g.node_count))
-        for v in range(g.node_count):
-            adj[v, list(g.adjacency[v])] = 1.0
-        values, vectors = np.linalg.eigh(adj)
-        expected = vectors[:, -1] * np.sign(vectors[:, -1].sum())
+        value, expected = dense_principal_pair(g)
         sv, eigenvalue = eigenvector_centrality(g)
         assert not sv.undefined.any()
         assert np.allclose(sv.scores, expected, rtol=0, atol=1e-9)
-        assert eigenvalue == pytest.approx(values[-1], abs=1e-9)
+        assert eigenvalue == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(300), path_graph(1000), ladder_graph(300)], ids=["path300", "path1000", "ladder300"]
+)
+def test_eigenvector_finishes_stalled_power_iteration_with_lanczos(g, monkeypatch):
+    real = centrality._lanczos_finish
+    calls = []
+
+    def spy(adj_times, x):
+        calls.append(x.size)
+        return real(adj_times, x)
+
+    monkeypatch.setattr(centrality, "_lanczos_finish", spy)
+    value, expected = dense_principal_pair(g)
+    sv, eigenvalue = eigenvector_centrality(g)
+    assert calls == [g.node_count]
+    # mirror-symmetric nodes tie only up to rounding, so compare with a tolerance
+    assert np.allclose(sv.scores, expected, rtol=0, atol=1e-9)
+    assert eigenvalue == pytest.approx(value, abs=1e-9)
+
+
+def test_lanczos_is_not_entered_where_power_iteration_converges(kite, karate, monkeypatch):
+    def refuse(adj_times, x):
+        raise AssertionError("power iteration stalled")
+
+    monkeypatch.setattr(centrality, "_lanczos_finish", refuse)
+    for g in (kite, karate, barabasi_albert_graph(2000, 3, seed=0)):
+        sv, _ = eigenvector_centrality(g)
+        assert not sv.undefined.any()
+
+
+def test_eigenvector_raises_once_the_restart_budget_is_spent(monkeypatch):
+    monkeypatch.setattr(centrality, "_EC_RESTARTS", 0)
+    with pytest.raises(PowerIterationError, match="0 Lanczos restarts"):
+        eigenvector_centrality(path_graph(300))
 
 
 def test_eigenvector_matches_networkx_on_karate(karate):

@@ -68,6 +68,35 @@ def test_rank_json_mirrors_csv(tmp_path, capsys):
         assert entry["undefined"] == int(row[3])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--input", str(kite_path()), "--measure", "fld"],
+        ["si", "--input", str(karate_path()), "--seeds", "1,34", "--lambda", "0.2", "--replicates", "5"],
+        [
+            "tau", "--input", str(karate_path()), "--measure", "ld",
+            "--lambda-range", "0.05:0.1:0.05", "--replicates", "5",
+        ],
+        ["compare", "--input", str(kite_path()), "--k", "3"],
+    ],
+    ids=["rank", "si", "tau", "compare"],
+)
+def test_json_mirrors_csv_cell_for_cell(argv, capsys):
+    code, out_csv, _ = run(capsys, argv)
+    assert code == 0
+    code, out_json, _ = run(capsys, [*argv, "--output", "json"])
+    assert code == 0
+    header, rows = rows_of(out_csv)
+    data = json.loads(out_json)
+    assert [list(entry) for entry in data] == [header] * len(rows)
+    for row, entry in zip(rows, data):
+        # labels stay strings; every other cell is a JSON number
+        assert [isinstance(v, str) for v in entry.values()] == [
+            key in ("node", "measure_a", "measure_b") for key in entry
+        ]
+        assert [f"{v:.6f}" if isinstance(v, float) else str(v) for v in entry.values()] == row
+
+
 def test_unknown_measure_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rank", "--input", str(kite_path()), "--measure", "pagerank"])
@@ -252,6 +281,50 @@ def test_negative_seeds_and_step_caps_are_usage_errors(argv, capsys, tmp_path):
         main([argv[0], "--input", str(tmp_path / "missing.edges"), *argv[1:]])
     assert exc.value.code == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the non-finite grids used to loop forever, growing a list
+        (["tau", "--measure", "dc", "--lambda-range=nan:0.1:0.05"], "expected finite"),
+        (["tau", "--measure", "dc", "--lambda-range=0.01:inf:0.01"], "expected finite"),
+        (["tau", "--measure", "dc", "--lambda-range=-inf:0.1:0.01"], "expected finite"),
+        (["tau", "--measure", "dc", "--lambda-range=0.01:0.1:nan"], "expected finite"),
+        (["tau", "--measure", "dc", "--lambda-range=inf:inf:1"], "expected finite"),
+        (["tau", "--measure", "dc", "--lambda-range", "0:0.1:0.05"], "must lie in (0, 1]"),
+        (["tau", "--measure", "dc", "--lambda-range", "0.5:1.5:0.5"], "must lie in (0, 1]"),
+        (["si", "--seeds", "7", "--lambda", "nan"], "must be in [0, 1]"),
+        (["si", "--seeds", "7", "--lambda", "1.5"], "must be in [0, 1]"),
+        (["si", "--seeds", "7", "--lambda", "-0.1"], "must be in [0, 1]"),
+        (["si", "--seeds", "7", "--beta", "nan"], "must be non-negative"),
+        (["si", "--seeds", "7", "--beta", "-1"], "must be non-negative"),
+    ],
+)
+def test_bad_rates_are_usage_errors(argv, message, capsys, tmp_path):
+    # the input does not exist: the arguments must be rejected before it is read
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--input", str(tmp_path / "missing.edges"), *argv[1:]])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_infinite_beta_is_rate_zero(capsys):
+    base = ["si", "--input", str(kite_path()), "--seeds", "7,8", "--replicates", "2"]
+    code, out_beta, _ = run(capsys, [*base, "--beta", "inf"])
+    assert code == 0
+    code, out_lambda, _ = run(capsys, [*base, "--lambda", "0"])
+    assert code == 0
+    assert out_beta == out_lambda
+
+
+def test_compare_on_a_long_path_exits_0(tmp_path, capsys):
+    # power iteration stalls on ec here; the Lanczos finish converges
+    path = tmp_path / "path300.edges"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(299)))
+    code, out, err = run(capsys, ["compare", "--input", str(path)])
+    assert code == 0, err
+    assert len(rows_of(out)[1]) == 36
 
 
 def test_zero_seed_and_step_cap_are_accepted(capsys):

@@ -38,6 +38,14 @@ def test_parse_self_loop_still_creates_the_node():
     assert g.edge_count == 0
 
 
+def test_parse_interleaved_self_loops_keep_first_appearance_order():
+    with pytest.warns(UserWarning) as record:
+        g = parse_edge_list("b b\na c\nc b\nd d\n")
+    assert [str(w.message) for w in record] == ["dropped 2 self-loop(s)"]
+    assert g.node_labels == ("b", "a", "c", "d")
+    assert g.edge_count == 2
+
+
 def test_parse_kite_fixture(kite):
     assert kite.node_count == 10
     assert kite.edge_count == 18
@@ -148,6 +156,28 @@ def test_components_empty_graph():
     comp = connected_components(Graph.build([]))
     assert comp.component_sizes == ()
     assert comp.component_id == ()
+
+
+def test_components_match_bfs_reachability_on_random_graphs():
+    rng = np.random.default_rng(3)
+    shapes = set()
+    for _ in range(20):
+        n = int(rng.integers(1, 60))
+        g = random_graph(rng, n, float(rng.uniform(0.0, 0.08)))
+        # reference: component IDs numbered by smallest member
+        expected = [-1] * n
+        sizes: list[int] = []
+        for s in range(n):
+            if expected[s] < 0:
+                reach = [v for v, d in enumerate(bfs_distances(g, s).dist) if d != UNREACHABLE]
+                for v in reach:
+                    expected[v] = len(sizes)
+                sizes.append(len(reach))
+        comp = connected_components(g)
+        assert comp.component_id == tuple(expected)
+        assert comp.component_sizes == tuple(sizes)
+        shapes.add((1 in sizes, len(sizes) > 1))
+    assert (True, True) in shapes
 
 
 def test_diameter_values(kite):
