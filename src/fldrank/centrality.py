@@ -106,7 +106,7 @@ class RankingList:
 def label_sort_key(label: str):
     """Ascending label order, comparing numerically when both sides are integers."""
     body = label[1:] if label[:1] == "-" else label
-    if body.isdigit():
+    if body.isdecimal():  # exactly the digits int() reads; '²' is a digit, not decimal
         return (0, int(label), label)
     return (1, 0, label)
 

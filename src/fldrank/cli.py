@@ -23,6 +23,9 @@ from .evaluation import compute_measure, tau_sweep, top_k_overlap
 from .graph import Graph, parse_edge_list
 from .si import SiConfig, lambda_from_beta, simulate
 
+# Longest --lambda-range grid accepted (the paper's grid has 10 rates).
+_MAX_RATES = 1000
+
 _SCHEMAS = {
     "rank": ("rank", "node", "score", "undefined"),
     "trajectory": ("t", "mean_F", "std_F"),
@@ -117,7 +120,10 @@ def _parse_measure(name: str) -> Measure:
 
 
 def _parse_measures(raw: str) -> list[Measure]:
-    return [_parse_measure(tok) for tok in raw.split(",") if tok]
+    measures = [_parse_measure(tok) for tok in raw.split(",") if tok]
+    if not measures:
+        raise argparse.ArgumentTypeError(f"expected at least one measure, got {raw!r}")
+    return measures
 
 
 def _parse_lambda_range(raw: str) -> list[float]:
@@ -132,13 +138,13 @@ def _parse_lambda_range(raw: str) -> list[float]:
     if step <= 0 or start > stop:
         raise argparse.ArgumentTypeError("need step > 0 and start <= stop")
     values = []
-    k = 0
     while True:
-        value = round(start + k * step, 10)
+        value = round(start + len(values) * step, 10)
         if value > stop + 1e-9:
             break
+        if len(values) == _MAX_RATES:
+            raise argparse.ArgumentTypeError(f"at most {_MAX_RATES} rates, got {raw!r}")
         values.append(value)
-        k += 1
     if not 0 < values[0] <= values[-1] <= 1:
         raise argparse.ArgumentTypeError(f"rates must lie in (0, 1], got {raw!r}")
     return values

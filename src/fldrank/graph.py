@@ -150,8 +150,9 @@ def parse_edge_list(text: str | bytes) -> Graph:
     """Parse one edge per line as two whitespace-separated labels.
 
     Bytes are decoded as UTF-8, dropping a leading byte-order mark. Blank
-    lines and lines starting with '#' or '%' are ignored; both LF and CRLF
-    line endings are accepted. Duplicate edges collapse silently.
+    lines and lines starting with '#' or '%' are ignored. Lines end at LF or
+    CRLF only; any other separator (form feed, U+2028, ...) is part of its
+    line. Duplicate edges collapse silently.
     Self-loops are dropped and reported through a single warning carrying
     the dropped count; the looped label still becomes a node.
     """
@@ -159,7 +160,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
         text = text.decode("utf-8-sig")
     edges: list[tuple[str, str]] = []
     self_loops = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", "%")):
             continue

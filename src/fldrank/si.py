@@ -7,13 +7,14 @@ a susceptible node with k infected neighbors flips with probability
 wavefront from the seed set, which anchors the tests.
 
 Replicates run as a batch of boolean state rows over the graph's cached CSR
-contact arrays (``Graph.edge_arrays``): each ``si_step`` visits the contacts
-of the infected nodes only and keeps those whose target is still
-susceptible, and a row stops once it has infected the seeds' whole
-components, when no such contact is left. Replicate k draws one uniform per
-open contact, in contact order, from an RNG substream derived
-deterministically from (rng_seed, k), so its trajectory does not depend on
-how many replicates run alongside it or on how they are batched.
+contact arrays (``Graph.edge_arrays``), addressed as flat cells (node v of
+row b is cell b * n + v): each ``si_step`` visits the contacts of the
+infected cells only and keeps those whose head cell is still susceptible,
+and a row stops once it has infected the seeds' whole components, when no
+such contact is left. Replicate k draws one uniform per open contact, in
+contact order, from an RNG substream derived deterministically from
+(rng_seed, k), so its trajectory does not depend on how many replicates run
+alongside it or on how they are batched.
 """
 
 from __future__ import annotations
@@ -98,22 +99,6 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _open_contacts(g: Graph, infected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and target of every contact from an infected node to a susceptible one.
-
-    ``infected`` is an (R, n) batch of replicate rows. Only the infected
-    nodes' contacts are visited, row by row in the contact order of
-    ``Graph.edge_arrays``, so a step costs O(R n) plus their degree sum.
-    """
-    offsets, targets = g.edge_arrays
-    rows, nodes = np.nonzero(infected)
-    contacts, degrees = contact_ids(offsets, nodes)
-    reached = targets[contacts]
-    rows = np.repeat(rows, degrees)
-    open_ = ~infected[rows, reached]
-    return rows[open_], reached[open_]
-
-
 def si_step(
     g: Graph,
     infected: np.ndarray,
@@ -122,23 +107,29 @@ def si_step(
 ) -> np.ndarray:
     """One synchronous update; returns the newly infected cells as sorted flat indices.
 
-    ``infected`` is one replicate's (n,) state with ``rng`` its generator, so
-    the indices are node IDs, or an (R, n) batch of replicate rows with
-    ``rng`` a sequence of R generators, one per row, as ``simulate`` steps
-    it. A row's open contacts (infected source, susceptible target) are
-    enumerated in a fixed order (sources ascending, neighbors in adjacency
-    order) and consume one uniform draw each from the row's generator, so a
-    given generator state always yields the same outcome. ``infected`` is
-    not modified.
+    ``infected`` is one replicate's (n,) state with ``rng`` its generator, or
+    an (R, n) batch of replicate rows with ``rng`` a sequence of R
+    generators, one per row, as ``simulate`` steps it. Node v of row b is
+    cell ``b * n + v``, so one replicate's cells are node IDs. Only the
+    infected cells' contacts are visited, in a fixed order (cells ascending,
+    neighbors in adjacency order), so a step costs O(R n) plus their degree
+    sum. Each contact whose head cell is still susceptible consumes one
+    uniform draw from its row's generator, so a given generator state always
+    yields the same outcome. ``infected`` is not modified.
     """
-    state = np.atleast_2d(np.asarray(infected, dtype=bool))
+    offsets, targets = g.edge_arrays
+    n = g.node_count
     rngs = [rng] if np.ndim(infected) == 1 else rng
-    rows, targets = _open_contacts(g, state)
-    counts = np.bincount(rows, minlength=len(rngs)).tolist()
+    state = np.asarray(infected, dtype=bool).ravel()
+    cells = np.flatnonzero(state)
+    nodes = cells % n
+    contacts, degrees = contact_ids(offsets, nodes)
+    heads = np.repeat(cells - nodes, degrees) + targets[contacts]
+    heads = heads[~state[heads]]
+    counts = np.bincount(heads // n, minlength=len(rngs)).tolist()
     draws = np.concatenate([r.random(c) for r, c in zip(rngs, counts)])
-    hit = draws < lam
     newly = np.zeros(state.size, dtype=bool)
-    newly[rows[hit] * g.node_count + targets[hit]] = True
+    newly[heads[draws < lam]] = True
     return np.flatnonzero(newly)
 
 

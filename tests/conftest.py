@@ -1,13 +1,15 @@
 """Shared fixtures, small graph builders, and independent test oracles.
 
 The oracles here deliberately take the dumbest correct route (explicit path
-enumeration, quadratic pair counting, the textbook regression formula) so
-they stay independent of the production algorithms they check.
+enumeration, quadratic pair counting, the textbook regression formula in
+exact fractions) so they stay independent of the production algorithms they
+check.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,13 +191,19 @@ def diamond_chain(links: int) -> Graph:
 
 
 def closed_form_slope(x, y) -> float:
-    """Regression slope in the uncentered algebraic form."""
+    """Regression slope in the uncentered algebraic form, rounded once.
+
+    The sums are exact fractions: in floats, the differences of products
+    cancel catastrophically when x varies little against its mean.
+    """
+    x = [Fraction(a) for a in x]
+    y = [Fraction(b) for b in y]
     n = len(x)
     sx = sum(x)
     sy = sum(y)
     sxy = sum(a * b for a, b in zip(x, y))
     sxx = sum(a * a for a in x)
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
 
 
 def brute_force_tau(w, v) -> tuple[int, int]:

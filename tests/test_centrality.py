@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -415,6 +415,8 @@ def test_local_dimension_sorts_ascending():
         unique_by=lambda t: t[0],
     )
 )
+# a float evaluation of the uncentered formula gives 1.11e-9 here, not 0
+@example([(-1e-05, 25.0), (-1.192092896e-07, 25.0)])
 def test_ols_slope_matches_closed_form(points):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import fldrank.graph
-from fldrank.cli import main
+from fldrank.cli import build_parser, main
 from fldrank.datasets import karate_path, kite_path
 
 FLOAT6 = re.compile(r"^-?\d+\.\d{6}$")
@@ -111,10 +111,17 @@ def test_missing_input_file(capsys):
 
 def test_malformed_input_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
-    bad.write_text("1 2\n1 2 3\n")
-    code, _, err = run(capsys, ["rank", "--input", str(bad), "--measure", "dc"])
-    assert code == 1
-    assert "line 2" in err
+    for text, message in [
+        ("1 2\n1 2 3\n", "line 2: expected 2 labels, got 3: '1 2 3'"),
+        ("1 2\r\n1 2 3\r\n", "line 2: expected 2 labels, got 3: '1 2 3'"),
+        # a form feed or U+2028 does not end the comment line, so "3" is on line 3
+        ("# note\fmore\n1 2\n3\n", "line 3: expected 2 labels, got 1: '3'"),
+        ("1 2\n# a\u2028b\n3\n", "line 3: expected 2 labels, got 1: '3'"),
+    ]:
+        bad.write_bytes(text.encode("utf-8"))
+        code, _, err = run(capsys, ["rank", "--input", str(bad), "--measure", "dc"])
+        assert code == 1
+        assert message in err
 
 
 def test_si_wavefront(tmp_path, capsys):
@@ -299,6 +306,9 @@ def test_negative_seeds_and_step_caps_are_usage_errors(argv, capsys, tmp_path):
         (["si", "--seeds", "7", "--lambda", "-0.1"], "must be in [0, 1]"),
         (["si", "--seeds", "7", "--beta", "nan"], "must be non-negative"),
         (["si", "--seeds", "7", "--beta", "-1"], "must be non-negative"),
+        # about 9e11 rates: rejected once the grid reaches the cap
+        (["tau", "--measure", "dc", "--lambda-range", "0.1:1:1e-12"], "at most 1000 rates"),
+        (["tau", "--measure", "dc", "--lambda-range", "0.0005:1:0.0005"], "at most 1000 rates"),
     ],
 )
 def test_bad_rates_are_usage_errors(argv, message, capsys, tmp_path):
@@ -307,6 +317,30 @@ def test_bad_rates_are_usage_errors(argv, message, capsys, tmp_path):
         main([argv[0], "--input", str(tmp_path / "missing.edges"), *argv[1:]])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_longest_rate_grid_keeps_its_values(tmp_path):
+    argv = ["tau", "--input", str(tmp_path / "missing.edges"), "--measure", "dc"]
+    args = build_parser().parse_args([*argv, "--lambda-range", "0.001:1:0.001"])
+    assert args.lambda_range == [round(0.001 + k * 0.001, 10) for k in range(1000)]
+
+
+@pytest.mark.parametrize("measures", [",", "", ",,"])
+def test_empty_measure_list_is_a_usage_error(measures, capsys, tmp_path):
+    # the input does not exist: the arguments must be rejected before it is read
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--input", str(tmp_path / "missing.edges"), f"--measures={measures}"])
+    assert exc.value.code == 2
+    assert "expected at least one measure" in capsys.readouterr().err
+
+
+def test_non_decimal_digit_labels_rank_as_text(tmp_path, capsys):
+    # '²' is a digit to str.isdigit() but not a number to int()
+    edges = tmp_path / "sup.edges"
+    edges.write_bytes("1 \u00b2\n\u00b2 3\n3 1\n".encode("utf-8"))
+    code, out, _ = run(capsys, ["rank", "--input", str(edges), "--measure", "dc"])
+    assert code == 0
+    assert [row[1] for row in rows_of(out)[1]] == ["1", "3", "\u00b2"]
 
 
 def test_infinite_beta_is_rate_zero(capsys):

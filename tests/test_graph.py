@@ -57,6 +57,16 @@ def test_parse_comments_blanks_and_crlf():
     assert g.edge_count == 2
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_ends_lines_at_lf_only(sep):
+    # sep does not end the comment line, so (b, c) is no edge
+    g = parse_edge_list(f"# a{sep}b c\n1 2\n".encode("utf-8"))
+    assert g.node_labels == ("1", "2")
+    with pytest.raises(EdgeListError) as err:
+        parse_edge_list(f"1 2{sep}3 4\n")
+    assert err.value.line_number == 1
+
+
 def test_parse_drops_utf8_byte_order_mark(kite):
     g = parse_edge_list(b"\xef\xbb\xbf" + kite_path().read_bytes())
     assert g.node_labels == kite.node_labels
