@@ -134,11 +134,19 @@ def ols_slope(x, y) -> float:
     n = len(x)
     if n < 2 or len(y) != n:
         raise ValueError("need at least two aligned points")
-    x_bar = sum(x) / n
-    y_bar = sum(y) / n
-    num = sum((a - x_bar) * (b - y_bar) for a, b in zip(x, y))
-    den = sum((a - x_bar) ** 2 for a in x)
+    x_bar = _sum(x) / n
+    y_bar = _sum(y) / n
+    num = _sum((a - x_bar) * (b - y_bar) for a, b in zip(x, y))
+    den = _sum((a - x_bar) ** 2 for a in x)
     return num / den
+
+
+def _sum(values):
+    """Left-to-right sum: the built-in sum() of floats is compensated from Python 3.12 on."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def degree_centrality(g: Graph) -> ScoreVector:
@@ -185,9 +193,9 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     denominator.
 
     Both sweeps (Brandes, J. Math. Sociol. 2001) run level by level over the
-    CSR contact arrays for a block of sources at once. The counts are int64;
-    a block whose counts could reach 2**63 runs again on Python ints, so the
-    results stay exact.
+    CSR contact arrays for a block of sources at once. The counts are int64
+    and become Python ints within a block once they could reach 2**63, so
+    each block runs once and the results stay exact.
     """
     n = g.node_count
     offsets, targets = g.edge_arrays
@@ -197,15 +205,13 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     rows = np.arange(width)[:, None] * n
     heads = (rows + targets).ravel()
     tails = (rows + np.repeat(np.arange(n), degrees)).ravel()
-    max_degree = int(degrees.max(initial=0))
+    # a node gathers from at most max-degree DAG neighbors: their counts below this sum below 2**63
+    limit = _INT64_LIMIT // max(1, int(degrees.max(initial=0)))
     numerators = np.zeros(n, dtype=object)
     denominator = 0
     for first in range(0, n, width):
         sources = np.arange(first, min(first + width, n))
-        counts = _block_path_counts(offsets, heads, tails, max_degree, sources, np.int64)
-        if counts is None:
-            counts = _block_path_counts(offsets, heads, tails, max_degree, sources, object)
-        part, share = counts
+        part, share = _block_path_counts(offsets, heads, tails, limit, sources)
         numerators += part.astype(object)
         denominator += share
     return numerators.tolist(), denominator
@@ -215,27 +221,25 @@ def _block_path_counts(
     offsets: np.ndarray,
     heads: np.ndarray,
     tails: np.ndarray,
-    max_degree: int,
+    limit: int,
     sources: np.ndarray,
-    dtype,
-) -> tuple[np.ndarray, int] | None:
+) -> tuple[np.ndarray, int]:
     """Numerator parts and denominator share of a block of sources.
 
     Cell ``b * n + v`` holds node v as seen from ``sources[b]``. The forward
     sweep expands only the frontier cells' contacts and keeps those that
     reach unseen cells: they are that level's shortest-path DAG edges, along
     which sigma flows. The backward sweep replays them in reverse to sum
-    downstream counts. With ``dtype`` int64, returns None as soon as a count
-    could reach 2**63: the bound runs ahead of each backward level, since a
-    node gathers from at most ``max_degree`` DAG neighbors.
+    downstream counts. Both run in int64. Before a backward level whose
+    counts could reach 2**63 (a count so far of ``limit`` - 1 or more), the
+    downstream counts turn to Python ints, and sigma is recounted on them.
     """
     n = offsets.size - 1
     width = sources.size
-    checked = dtype is not object
     cells = np.arange(width) * n + sources
     unseen = np.ones(width * n, dtype=bool)
     unseen[cells] = False
-    sigma = np.zeros(width * n, dtype=dtype)
+    sigma = np.zeros(width * n, dtype=np.int64)
     sigma[cells] = 1
     slot = np.empty(width * n, dtype=np.intp)
     dag: list[tuple[np.ndarray, np.ndarray]] = []
@@ -253,18 +257,23 @@ def _block_path_counts(
         order = np.arange(head.size)
         slot[head] = order
         frontier = head[slot[head] == order]
-    # sigma[t] counts some of the paths that down[source] counts, so bounding
-    # down bounds sigma too: a wrapped sigma is never used
-    down = np.zeros(width * n, dtype=dtype)
+    down = np.zeros(width * n, dtype=np.int64)
     top_down = 0
     for tail, head in reversed(dag):
-        if checked and (top_down + 1) * max_degree >= _INT64_LIMIT:
-            return None
+        # the bound runs ahead of the level, so every count so far is exact
+        if top_down + 1 >= limit and down.dtype != object:
+            down = down.astype(object)
         np.add.at(down, tail, 1 + down[head])
         top_down = max(top_down, int(down[tail].max(initial=0)))
-    # per node, the block sums up to width products sigma * down
-    if checked and int(sigma.max()) * top_down * width >= _INT64_LIMIT:
-        return None
+    # sigma[t] counts some of the paths that down[source] counts, so sigma can
+    # have wrapped only if down widened; per node, the block sums up to width
+    # products sigma * down
+    if down.dtype == object or int(sigma.max()) * top_down * width >= _INT64_LIMIT:
+        sigma = np.zeros(width * n, dtype=object)
+        sigma[cells] = 1
+        for tail, head in dag:
+            np.add.at(sigma, head, sigma[tail])
+        down = down.astype(object)
     share = int(down[cells].sum())
     down[cells] = 0
     return (sigma * down).reshape(width, n).sum(axis=0), share

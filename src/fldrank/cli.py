@@ -147,6 +147,8 @@ def _parse_lambda_range(raw: str) -> list[float]:
         values.append(value)
     if not 0 < values[0] <= values[-1] <= 1:
         raise argparse.ArgumentTypeError(f"rates must lie in (0, 1], got {raw!r}")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"rates repeat once rounded to 10 decimals, got {raw!r}")
     return values
 
 
@@ -160,8 +162,6 @@ def _resolve_seeds(g: Graph, args) -> tuple[tuple[int, ...], list[str]]:
             ids.append(g.label_to_id[label])
         seeds = tuple(sorted(set(ids)))
     else:
-        if args.measure is None:
-            raise ValueError("--top requires --measure")
         ranking = rank_nodes(compute_measure(g, args.measure), g.node_labels)
         if args.top > len(ranking.labels):
             raise ValueError(f"--top {args.top} exceeds node count {len(ranking.labels)}")
@@ -308,7 +308,10 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "top", None) is not None and args.measure is None:
+        parser.error("--top requires --measure")
     with warnings.catch_warnings():
         # one "warning: ..." line per library warning, without its source line
         warnings.showwarning = _print_warning

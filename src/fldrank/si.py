@@ -140,36 +140,29 @@ def _run_chunk(
     max_steps: int,
     rngs: list[np.random.Generator],
     reach: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Run one replicate per generator as a batch of boolean state rows.
 
     Returns the infected count of every row at steps 0..T, where T is the
-    last step any row took (a stopped row keeps its terminal count), and
-    each row's ``terminated_at``. A row stops at the first step with no
-    open contact, which is when it has infected all ``reach`` nodes of the
-    seeds' components, or at the step cap.
+    last step any row took (a stopped row keeps its terminal count). A row
+    stops at the first step with no open contact, which is when it has
+    infected all ``reach`` nodes of the seeds' components, or at the step cap.
     """
     n = g.node_count
     infected = np.zeros((len(rngs), n), dtype=bool)
     infected[:, list(seeds)] = True
     f = infected.sum(axis=1)
     counts = [f.copy()]
-    stopped_at = np.zeros(len(rngs), dtype=np.int64)
     live = np.arange(len(rngs)) if lam > 0.0 else np.empty(0, dtype=np.intp)
-    t = 0
-    while live.size and t < max_steps:
-        done = f[live] == reach
-        stopped_at[live[done]] = t
-        live = live[~done]
+    while len(counts) <= max_steps:
+        live = live[f[live] < reach]
         if not live.size:
             break
         rows, nodes = np.divmod(si_step(g, infected[live], lam, [rngs[k] for k in live]), n)
         infected[live[rows], nodes] = True
         f += np.bincount(live[rows], minlength=len(rngs))
         counts.append(f.copy())
-        t += 1
-    stopped_at[live] = t
-    return np.stack(counts, axis=1), stopped_at
+    return np.stack(counts, axis=1)
 
 
 def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> TrajectoryEnsemble:
@@ -193,15 +186,12 @@ def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> Traje
     )
     chunk = max(1, _CHUNK_CONTACTS // max(g.edge_arrays[1].size, g.node_count))
     parts: list[np.ndarray] = []
-    stops: list[np.ndarray] = []
     for first in range(0, cfg.replicates, chunk):
         rngs = [
             replicate_rng(cfg.rng_seed, k)
             for k in range(first, min(first + chunk, cfg.replicates))
         ]
-        part, stopped_at = _run_chunk(g, cfg.seeds, cfg.lam, max_steps, rngs, reach)
-        parts.append(part)
-        stops.append(stopped_at)
+        parts.append(_run_chunk(g, cfg.seeds, cfg.lam, max_steps, rngs, reach))
 
     # pad every batch to the longest run by carrying its terminal counts
     length = max(part.shape[1] for part in parts)
@@ -216,7 +206,10 @@ def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> Traje
         std = np.zeros(length)
     trajectories = None
     if keep_replicates:
-        stopped_at = np.concatenate(stops).tolist()
+        # a row stops at its first step with all of reach infected; a row that
+        # never gets there ran to the step cap, and so did the longest batch
+        full = counts == reach
+        stopped_at = np.where(full.any(axis=1), full.argmax(axis=1), length - 1).tolist()
         trajectories = tuple(
             SiTrajectory(tuple(row[: stop + 1]), terminated_at=stop)
             for row, stop in zip(counts.tolist(), stopped_at)

@@ -186,8 +186,9 @@ def test_path_counts_rerun_exactly_past_int64(karate, monkeypatch, links):
     block = centrality._block_path_counts
 
     def spy(*args):
-        dtypes.append(args[-1])
-        return block(*args)
+        part, share = block(*args)
+        dtypes.append(part.dtype)
+        return part, share
 
     monkeypatch.setattr(centrality, "_block_path_counts", spy)
     g = diamond_chain(links)
@@ -198,6 +199,25 @@ def test_path_counts_rerun_exactly_past_int64(karate, monkeypatch, links):
     dtypes.clear()
     shortest_path_counts(karate)
     assert object not in dtypes
+
+
+def test_path_counts_run_each_block_once(monkeypatch):
+    # the blocks whose counts pass 2**63 widen in place instead of running again
+    calls = []
+    block = centrality._block_path_counts
+
+    def spy(*args):
+        calls.append(args[-1])
+        return block(*args)
+
+    monkeypatch.setattr(centrality, "_block_path_counts", spy)
+    g = diamond_chain(70)
+    counts = shortest_path_counts(g)
+    n = g.node_count
+    width = max(1, min(n, centrality._BLOCK_CONTACTS // max(g.edge_arrays[1].size, n)))
+    assert len(calls) == math.ceil(n / width)
+    assert np.concatenate(calls).tolist() == list(range(n))
+    assert counts == oracle_path_counts(g)
 
 
 # --- eigenvector ----------------------------------------------------------
@@ -423,6 +443,40 @@ def test_ols_slope_matches_closed_form(points):
     if max(xs) - min(xs) < 1e-6:
         return
     assert ols_slope(xs, ys) == pytest.approx(closed_form_slope(xs, ys), abs=1e-9, rel=1e-9)
+
+
+def loop_slope(xs, ys) -> float:
+    """``ols_slope``'s centered formula, each sum an explicit left-to-right loop."""
+    n = len(xs)
+    sum_x = sum_y = 0
+    for a, b in zip(xs, ys):
+        sum_x += a
+        sum_y += b
+    x_bar, y_bar = sum_x / n, sum_y / n
+    num = den = 0
+    for a, b in zip(xs, ys):
+        num += (a - x_bar) * (b - y_bar)
+        den += (a - x_bar) ** 2
+    return num / den
+
+
+def test_ols_slope_has_the_same_bits_on_every_python(kite, karate, monkeypatch):
+    # the built-in sum() of floats is compensated from Python 3.12 on, which
+    # moves the last bits of many ld and fld scores
+    regressions = []
+    slope = centrality.ols_slope
+
+    def spy(xs, ys):
+        regressions.append((xs, ys))
+        return slope(xs, ys)
+
+    monkeypatch.setattr(centrality, "ols_slope", spy)
+    for g in (kite, karate):
+        local_dimension(g)
+        fuzzy_local_dimension(g)
+    assert len(regressions) == 2 * (kite.node_count + karate.node_count)
+    for xs, ys in regressions:
+        assert slope(xs, ys).hex() == loop_slope(xs, ys).hex()
 
 
 def test_ols_slope_rejects_bad_input():

@@ -195,13 +195,12 @@ def test_si_beta_converts_and_records_both(tmp_path):
     assert manifest["params"]["lambda"] == 0.125
 
 
-def test_si_top_seeds_require_measure(capsys):
-    code, _, err = run(
-        capsys,
-        ["si", "--input", str(kite_path()), "--top", "3", "--lambda", "0.5"],
-    )
-    assert code == 1
-    assert "--measure" in err
+def test_si_top_seeds_require_measure(capsys, tmp_path):
+    # the input does not exist: the arguments must be rejected before it is read
+    with pytest.raises(SystemExit) as exc:
+        main(["si", "--input", str(tmp_path / "missing.edges"), "--top", "3", "--lambda", "0.5"])
+    assert exc.value.code == 2
+    assert "--top requires --measure" in capsys.readouterr().err
 
 
 def test_si_top_seeds_from_measure(tmp_path):
@@ -309,6 +308,8 @@ def test_negative_seeds_and_step_caps_are_usage_errors(argv, capsys, tmp_path):
         # about 9e11 rates: rejected once the grid reaches the cap
         (["tau", "--measure", "dc", "--lambda-range", "0.1:1:1e-12"], "at most 1000 rates"),
         (["tau", "--measure", "dc", "--lambda-range", "0.0005:1:0.0005"], "at most 1000 rates"),
+        # 105 rates, of which only 11 differ once rounded to 10 decimals
+        (["tau", "--measure", "dc", "--lambda-range", "0.1:0.1:1e-11"], "rates repeat"),
     ],
 )
 def test_bad_rates_are_usage_errors(argv, message, capsys, tmp_path):
