@@ -12,15 +12,18 @@ row b is cell b * n + v): each ``si_step`` visits the contacts of the
 infected cells only and keeps those whose head cell is still susceptible,
 and a row stops once it has infected the seeds' whole components, when no
 such contact is left. Replicate k draws one uniform per open contact, in
-contact order, from an RNG substream derived deterministically from
-(rng_seed, k), so its trajectory does not depend on how many replicates run
-alongside it or on how they are batched.
+contact order, from the stream of ``replicate_rng(rng_seed, k)``, so its
+trajectory does not depend on how many replicates run alongside it or on how
+they are batched. ``ReplicateStreams`` reproduces those streams bit for bit
+without building a Generator per replicate.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +33,13 @@ from .graph import Graph, contact_ids, diameter
 # times the directed edges, so R is this over the edge count (or node count,
 # when larger): the temporaries stay O(E) whatever the replicate count.
 _CHUNK_CONTACTS = 2**14
+
+# Uniforms buffered per replicate row: an even share of 2**15 (256 KB) per
+# batch, at most 2**10 (so a one-row batch holds 8 KB, not 256 KB). At 100
+# replicates on karate most rows then fill once per simulation. A buffer
+# widens when one step of a row needs more than it holds.
+_STREAM_BUFFER = 2**15
+_ROW_BUFFER = 2**10
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,17 @@ class SiConfig:
             raise ValueError("replicates must be >= 1")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if self.rng_seed < 0:
+        # operator.index takes numpy integers as the equal int and rejects
+        # floats; a bool is an int to it, so it is refused by name
+        if isinstance(self.rng_seed, (bool, np.bool_)):
+            raise TypeError("rng_seed must be an integer, not a bool")
+        try:
+            rng_seed = operator.index(self.rng_seed)
+        except TypeError:
+            raise TypeError(f"rng_seed must be an integer, got {self.rng_seed!r}") from None
+        if rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+        object.__setattr__(self, "rng_seed", rng_seed)
         object.__setattr__(self, "seeds", tuple(sorted(set(self.seeds))))
 
 
@@ -88,48 +107,221 @@ def lambda_from_beta(beta: float) -> float:
 
 
 def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
-    """Independent, reproducible stream for one replicate."""
+    """Independent, reproducible stream for one replicate.
+
+    The reference for ``pcg64_states`` and ``ReplicateStreams``, which
+    reproduce its draws without building a Generator per replicate.
+    """
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))
     return np.random.default_rng(seq)
 
 
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
+# 128-bit LCG multiplier; NEP 19 keeps both, and so every stream, stable
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative integer (0 is one word)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("seed and key values must be non-negative")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_state(entropy: int, key: Sequence, n_words: int) -> list:
+    """``SeedSequence(entropy, spawn_key=key).generate_state(n_words)`` as uint32 words.
+
+    numpy's hash, step for step. A key entry is an integer or a uint32 array
+    holding that entry for many streams at once; then every word is an array
+    and the entropy's own mixing runs once for all of them. Every value is
+    kept below 2**32 before it meets an array, so the uint32 arithmetic wraps
+    alike under numpy 1.x value-based casting and numpy 2's NEP 50.
+    """
+    # entropy shorter than the pool is padded with zeros, and a key starts after it
+    run = _words(entropy)
+    run += [0] * (4 - len(run))
+    rest = run[4:] + [
+        w for entry in key for w in ([entry] if isinstance(entry, np.ndarray) else _words(entry))
+    ]
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in run[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in rest:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h = _INIT_B
+    out = []
+    for i in range(n_words):
+        value = pool[i % 4] ^ h
+        h = h * _MULT_B & _MASK32
+        value = value * h & _MASK32
+        out.append(value ^ value >> 16)
+    return out
+
+
 def derive_seed(master_seed: int, *key: int) -> int:
-    """Fold a key path into a fresh 64-bit master seed (for nested campaigns)."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
-    return int(seq.generate_state(1, np.uint64)[0])
+    """Fold a key path into a fresh 64-bit master seed (for nested campaigns).
+
+    Equals ``SeedSequence(master_seed, spawn_key=key).generate_state(1, np.uint64)[0]``.
+    """
+    lo, hi = _seed_state(master_seed, key, 2)
+    return lo | hi << 32
+
+
+def pcg64_states(master_seed: int, replicates) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that ``replicate_rng(master_seed, k)`` starts from, per k.
+
+    One hash pass seeds every replicate index in ``replicates`` (each below
+    2**32, so one spawn-key word); PCG64 then takes its seed and increment
+    from the four uint64 state words and runs its two seeding LCG steps.
+    """
+    keys = np.asarray(replicates, dtype=np.int64)
+    if keys.size and not (0 <= keys.min() and keys.max() <= _MASK32):
+        raise ValueError("replicate indices must lie in [0, 2**32)")
+    words = np.stack(_seed_state(master_seed, [keys.astype(np.uint32)], 8), axis=1)
+    states = []
+    # generate_state(4, np.uint64) reads the uint32 words little-endian
+    for s0, s1, i0, i1 in words.astype("<u4").view("<u8").tolist():
+        inc = (i0 << 64 | i1) << 1 & _MASK128 | 1
+        states.append(((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+class ReplicateStreams:
+    """Uniform draws for a batch of replicate rows, row r continuing ``states[r]``.
+
+    Each row keeps a buffer of its next uniforms. One shared PCG64, set to
+    the row's (state, inc) and advanced past what the row has drawn, refills
+    it only when a step needs more than is left, so row r yields exactly the
+    doubles of the Generator it stands for, in order.
+    """
+
+    def __init__(self, states: list[tuple[int, int]]):
+        self._states = states
+        self._bits = np.random.PCG64(0)  # a row's state is set before its first draw
+        self._random = np.random.Generator(self._bits).random
+        width = min(_ROW_BUFFER, max(1, _STREAM_BUFFER // len(states)))
+        self._buf = np.empty((len(states), width))
+        self._pos = np.zeros(len(states), dtype=np.intp)
+        self._fill = np.zeros(len(states), dtype=np.intp)
+        self._drawn = [0] * len(states)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def draw(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The next ``counts[i]`` uniforms of each row ``rows[i]``, concatenated in that order."""
+        if rows.size == 1:  # a lone row's draws are one slice of its buffer
+            row, count = rows.item(), counts.item()
+            if self._pos[row] + count > self._fill[row]:
+                self._refill(row, count)
+            start = self._pos[row]
+            self._pos[row] = start + count
+            return self._buf[row, start : start + count]
+        start = self._pos[rows]
+        end = start + counts
+        short = end > self._fill[rows]
+        if short.any():
+            for row, need in zip(rows[short].tolist(), counts[short].tolist()):
+                self._refill(row, need)
+            start = self._pos[rows]
+            end = start + counts
+        self._pos[rows] = end
+        width = self._buf.shape[1]
+        offsets = np.cumsum(counts) - counts
+        cells = np.repeat(rows * width + start - offsets, counts)
+        return self._buf.ravel()[cells + np.arange(cells.size)]
+
+    def _refill(self, row: int, need: int) -> None:
+        """Keep the row's unread uniforms and fill the rest of its buffer from its stream."""
+        width = self._buf.shape[1]
+        if need > width:
+            wider = np.empty((len(self), need))
+            wider[:, :width] = self._buf
+            self._buf = wider
+        buf = self._buf[row]
+        pos, fill = int(self._pos[row]), int(self._fill[row])
+        left = fill - pos
+        if left:
+            buf[:left] = buf[pos:fill]
+        state, inc = self._states[row]
+        self._bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if self._drawn[row]:
+            self._bits.advance(self._drawn[row])
+        self._random(out=buf[left:])
+        self._drawn[row] += buf.size - left
+        self._pos[row] = 0
+        self._fill[row] = buf.size
+
+
+def _generator_draw(rng: np.random.Generator | Sequence[np.random.Generator]):
+    """``draw(counts)`` over caller-supplied generators, one per row."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    return lambda counts: np.concatenate([r.random(c) for r, c in zip(rngs, counts.tolist())])
 
 
 def si_step(
     g: Graph,
     infected: np.ndarray,
     lam: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rng: np.random.Generator | Sequence[np.random.Generator] | Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """One synchronous update; returns the newly infected cells as sorted flat indices.
 
-    ``infected`` is one replicate's (n,) state with ``rng`` its generator, or
-    an (R, n) batch of replicate rows with ``rng`` a sequence of R
-    generators, one per row, as ``simulate`` steps it. Node v of row b is
-    cell ``b * n + v``, so one replicate's cells are node IDs. Only the
-    infected cells' contacts are visited, in a fixed order (cells ascending,
-    neighbors in adjacency order), so a step costs O(R n) plus their degree
-    sum. Each contact whose head cell is still susceptible consumes one
-    uniform draw from its row's generator, so a given generator state always
-    yields the same outcome. ``infected`` is not modified.
+    ``infected`` is one replicate's (n,) state or an (R, n) batch of
+    replicate rows. Node v of row b is cell ``b * n + v``, so one
+    replicate's cells are node IDs. Only the infected cells' contacts are
+    visited, in a fixed order (cells ascending, neighbors in adjacency
+    order), so a step costs O(R n) plus their degree sum. Each contact whose
+    head cell is still susceptible consumes one uniform from its row's
+    stream: ``rng`` is a function ``draw(counts)`` returning row r's next
+    ``counts[r]`` uniforms, in row order, as ``simulate`` passes, or a
+    Generator per row (a single one for an (n,) state), which is wrapped
+    into one. A given stream state so always yields the same outcome.
+    ``infected`` is not modified.
     """
     offsets, targets = g.edge_arrays
     n = g.node_count
-    rngs = [rng] if np.ndim(infected) == 1 else rng
+    rows = 1 if np.ndim(infected) == 1 else len(infected)
+    draw = rng if callable(rng) else _generator_draw(rng)
     state = np.asarray(infected, dtype=bool).ravel()
     cells = np.flatnonzero(state)
     nodes = cells % n
     contacts, degrees = contact_ids(offsets, nodes)
     heads = np.repeat(cells - nodes, degrees) + targets[contacts]
     heads = heads[~state[heads]]
-    counts = np.bincount(heads // n, minlength=len(rngs)).tolist()
-    draws = np.concatenate([r.random(c) for r, c in zip(rngs, counts)])
+    counts = np.bincount(heads // n, minlength=rows)
     newly = np.zeros(state.size, dtype=bool)
-    newly[heads[draws < lam]] = True
+    newly[heads[draw(counts) < lam]] = True
     return np.flatnonzero(newly)
 
 
@@ -138,10 +330,10 @@ def _run_chunk(
     seeds: tuple[int, ...],
     lam: float,
     max_steps: int,
-    rngs: list[np.random.Generator],
+    streams: ReplicateStreams,
     reach: int,
 ) -> np.ndarray:
-    """Run one replicate per generator as a batch of boolean state rows.
+    """Run one replicate per stream row as a batch of boolean state rows.
 
     Returns the infected count of every row at steps 0..T, where T is the
     last step any row took (a stopped row keeps its terminal count). A row
@@ -149,18 +341,18 @@ def _run_chunk(
     infected all ``reach`` nodes of the seeds' components, or at the step cap.
     """
     n = g.node_count
-    infected = np.zeros((len(rngs), n), dtype=bool)
+    infected = np.zeros((len(streams), n), dtype=bool)
     infected[:, list(seeds)] = True
     f = infected.sum(axis=1)
     counts = [f.copy()]
-    live = np.arange(len(rngs)) if lam > 0.0 else np.empty(0, dtype=np.intp)
+    live = np.arange(len(streams)) if lam > 0.0 else np.empty(0, dtype=np.intp)
     while len(counts) <= max_steps:
         live = live[f[live] < reach]
         if not live.size:
             break
-        rows, nodes = np.divmod(si_step(g, infected[live], lam, [rngs[k] for k in live]), n)
+        rows, nodes = np.divmod(si_step(g, infected[live], lam, partial(streams.draw, live)), n)
         infected[live[rows], nodes] = True
-        f += np.bincount(live[rows], minlength=len(rngs))
+        f += np.bincount(live[rows], minlength=len(streams))
         counts.append(f.copy())
     return np.stack(counts, axis=1)
 
@@ -185,13 +377,12 @@ def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> Traje
         components.component_sizes[c] for c in {components.component_id[s] for s in cfg.seeds}
     )
     chunk = max(1, _CHUNK_CONTACTS // max(g.edge_arrays[1].size, g.node_count))
-    parts: list[np.ndarray] = []
-    for first in range(0, cfg.replicates, chunk):
-        rngs = [
-            replicate_rng(cfg.rng_seed, k)
-            for k in range(first, min(first + chunk, cfg.replicates))
-        ]
-        parts.append(_run_chunk(g, cfg.seeds, cfg.lam, max_steps, rngs, reach))
+    states = pcg64_states(cfg.rng_seed, range(cfg.replicates))
+    batches = [states[first : first + chunk] for first in range(0, cfg.replicates, chunk)]
+    parts = [
+        _run_chunk(g, cfg.seeds, cfg.lam, max_steps, ReplicateStreams(batch), reach)
+        for batch in batches
+    ]
 
     # pad every batch to the longest run by carrying its terminal counts
     length = max(part.shape[1] for part in parts)

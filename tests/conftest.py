@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fldrank import UNREACHABLE, Graph, SiTrajectory, bfs_distances
+from fldrank import UNREACHABLE, Graph, SiTrajectory, bfs_distances, replicate_rng
 from fldrank.datasets import load_karate, load_kite
 
 
@@ -267,6 +267,21 @@ def oracle_trajectory(
         f.append(int(infected.sum()))
         t += 1
     return SiTrajectory(tuple(f), terminated_at=t)
+
+
+def oracle_ability(
+    g: Graph, node: int, lam: float, t_eval: int, replicates: int, rng_seed: int
+) -> float:
+    """Mean infected count at step t_eval over ``oracle_trajectory`` runs seeded at ``node``.
+
+    Replicate k steps on numpy's own ``replicate_rng(rng_seed, k)``; a run
+    that stops early keeps its terminal count.
+    """
+    values = []
+    for k in range(replicates):
+        f = oracle_trajectory(g, (node,), lam, t_eval, replicate_rng(rng_seed, k)).f
+        values.append(f[min(t_eval, len(f) - 1)])
+    return float(np.mean(np.asarray(values, dtype=np.float64)))
 
 
 def coupled_infected_sets(

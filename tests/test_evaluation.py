@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_tau, path_graph
+from conftest import brute_force_tau, oracle_ability, path_graph
 from fldrank import (
     Graph,
     Measure,
@@ -215,6 +215,23 @@ def test_sweep_is_deterministic(kite):
     b = tau_sweep(kite, sv, grid, t_eval=5, replicates=10, rng_seed=21)
     assert a == b
     assert all(-1.0 <= r.tau <= 1.0 for _, r in a)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 2**40 + 3])
+def test_sweep_matches_one_built_from_oracle_abilities(kite, rng_seed):
+    # each (rate index, node) gets SeedSequence's 64-bit word for that spawn key
+    sv = compute_measure(kite, "fld")
+    grid = [0.2, 0.6]
+    w = tuple(oriented_scores(sv))
+    expected = []
+    for li, lam in enumerate(grid):
+        ability = []
+        for node in range(kite.node_count):
+            seq = np.random.SeedSequence(entropy=rng_seed, spawn_key=(li, node))
+            node_seed = int(seq.generate_state(1, np.uint64)[0])
+            ability.append(oracle_ability(kite, node, lam, 5, 10, node_seed))
+        expected.append((lam, kendall_tau(PairedSequence(w, tuple(ability)))))
+    assert tau_sweep(kite, sv, grid, t_eval=5, replicates=10, rng_seed=rng_seed) == expected
 
 
 def test_spreading_ability_agrees_with_itself(kite):

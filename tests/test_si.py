@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import fldrank.si
 from conftest import (
     coupled_infected_sets,
+    oracle_ability,
     oracle_si_step,
     oracle_trajectory,
     path_graph,
@@ -25,6 +26,7 @@ from fldrank import (
     simulate,
     spreading_ability,
 )
+from fldrank.si import _ROW_BUFFER, ReplicateStreams, derive_seed, pcg64_states
 
 
 def infected_mask(g, labels):
@@ -101,6 +103,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SiConfig(lam=0.5, seeds=(0,), rng_seed=-1)
     assert SiConfig(lam=0.5, seeds=(2, 0, 2)).seeds == (0, 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, np.True_, "3", None])
+def test_config_rejects_a_seed_that_is_not_an_integer(bad):
+    # a float used to pass here and fail later inside simulate; True ran as seed 1
+    with pytest.raises(TypeError, match="rng_seed"):
+        SiConfig(lam=0.5, seeds=(0,), rng_seed=bad)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.uint64(2**64 - 1)])
+def test_numpy_integer_seed_runs_the_streams_of_the_equal_int(karate, seed):
+    cfg = SiConfig(lam=0.3, seeds=(0,), replicates=6, rng_seed=seed)
+    assert type(cfg.rng_seed) is int and cfg.rng_seed == int(seed)
+    plain = SiConfig(lam=0.3, seeds=(0,), replicates=6, rng_seed=int(seed))
+    assert simulate(karate, cfg, keep_replicates=True) == simulate(
+        karate, plain, keep_replicates=True
+    )
 
 
 def test_simulate_rejects_out_of_range_seed(kite):
@@ -229,6 +248,104 @@ def test_ensemble_does_not_depend_on_batch_size(karate, monkeypatch):
     batched = simulate(karate, cfg, keep_replicates=True)
     monkeypatch.setattr(fldrank.si, "_CHUNK_CONTACTS", 1)  # one replicate per batch
     assert simulate(karate, cfg, keep_replicates=True) == batched
+
+
+# --- replicate streams against numpy's own generators --------------------------
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200 + 7]
+EDGE_KEYS = [0, 1, 99, 2**32 - 1]
+
+
+def _expected_draws(refs, rows, counts):
+    return np.concatenate([refs[r].random(c) for r, c in zip(rows, counts)])
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_pcg64_states_are_the_states_replicate_rng_starts_from(seed):
+    for key, (state, inc) in zip(EDGE_KEYS, pcg64_states(seed, EDGE_KEYS)):
+        start = replicate_rng(seed, key).bit_generator.state["state"]
+        assert start == {"state": state, "inc": inc}
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_streams_match_replicate_rng_draw_for_draw(seed):
+    streams = ReplicateStreams(pcg64_states(seed, EDGE_KEYS))
+    refs = [replicate_rng(seed, key) for key in EDGE_KEYS]
+    w = _ROW_BUFFER  # each of the four rows starts with this many buffered
+    schedule = [
+        ([0, 1, 2, 3], [3, 0, w, 1]),  # row 2 drains its buffer exactly
+        ([0, 2, 3], [w - 3, 1, 5]),  # row 0 drains; row 2 refills from offset w
+        ([1, 3], [w + 7, 2]),  # row 1's first step needs more than a row holds
+        # rows 0 and 3 refill and widen in one step; row 3's draws straddle
+        # its old buffer's end and the new fill
+        ([0, 1, 2, 3], [2 * w, 0, 1, 3 * w]),
+        ([3], [5000]),  # a lone row: one slice, after a refill
+        ([3], [4]),
+        ([1, 2], [1, 1]),
+    ]
+    for rows, counts in schedule:
+        got = streams.draw(np.array(rows), np.array(counts))
+        assert got.tolist() == _expected_draws(refs, rows, counts).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**200),
+    keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True),
+    steps=st.lists(st.lists(st.integers(0, 1500), min_size=5, max_size=5), max_size=8),
+)
+def test_streams_match_replicate_rng_on_any_draw_sequence(seed, keys, steps):
+    streams = ReplicateStreams(pcg64_states(seed, keys))
+    refs = [replicate_rng(seed, key) for key in keys]
+    for step in steps:
+        # rows with a zero count sit the step out, as stopped rows do
+        rows = [r for r in range(len(keys)) if step[r]]
+        counts = [step[r] for r in rows]
+        if rows:
+            got = streams.draw(np.array(rows), np.array(counts))
+            assert got.tolist() == _expected_draws(refs, rows, counts).tolist()
+
+
+@pytest.mark.parametrize("keys", [[2**32], [0, 2**32 + 5], [-1]])
+def test_replicate_index_outside_one_key_word_fails_loudly(keys):
+    with pytest.raises(ValueError, match="replicate indices"):
+        pcg64_states(0, keys)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_derive_seed_matches_seed_sequence(seed):
+    for key in [(0, 0), (3, 33), (9, 2**32 - 1), (2**32, 1), (2**70,), ()]:
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+        assert derive_seed(seed, *key) == int(seq.generate_state(1, np.uint64)[0])
+
+
+def test_negative_seed_or_key_fails_loudly():
+    with pytest.raises(ValueError):
+        derive_seed(-1, 0)
+    with pytest.raises(ValueError):
+        derive_seed(0, 1, -2)
+
+
+# --- engine against the per-contact oracle on numpy's generators ---------------
+
+
+def _graph_with_isolated_node():
+    return Graph.build([("a", "b"), ("b", "c"), ("x", "y")], nodes=["z"])
+
+
+@pytest.mark.parametrize("graph", ["kite", "karate", "disconnected"])
+@pytest.mark.parametrize("lam", [0.05, 0.4, 1.0])
+@pytest.mark.parametrize("t_eval", [1, 10])
+def test_spreading_ability_is_the_oracle_mean(graph, lam, t_eval, request):
+    if graph == "disconnected":
+        g = _graph_with_isolated_node()
+        nodes = range(g.node_count)
+    else:
+        g = request.getfixturevalue(graph)
+        nodes = [0, g.node_count // 2, g.node_count - 1]
+    for node in nodes:
+        got = spreading_ability(g, node, lam, t_eval=t_eval, replicates=15, rng_seed=node + 40)
+        assert got == oracle_ability(g, node, lam, t_eval, 15, node + 40)
 
 
 # --- monotone coupling ------------------------------------------------------
