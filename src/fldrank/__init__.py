@@ -53,9 +53,9 @@ from .graph import (
 )
 from .si import (
     SiConfig,
-    SiTrajectory,
     TrajectoryEnsemble,
     lambda_from_beta,
+    replicate_counts,
     replicate_rng,
     si_step,
     simulate,

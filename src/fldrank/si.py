@@ -15,7 +15,8 @@ such contact is left. Replicate k draws one uniform per open contact, in
 contact order, from the stream of ``replicate_rng(rng_seed, k)``, so its
 trajectory does not depend on how many replicates run alongside it or on how
 they are batched. ``ReplicateStreams`` reproduces those streams bit for bit
-without building a Generator per replicate.
+without building a Generator per replicate. ``replicate_counts`` returns
+every replicate's infected counts as one table, and ``simulate`` averages it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,19 @@ _STREAM_BUFFER = 2**15
 _ROW_BUFFER = 2**10
 
 
+def _seed_int(name: str, value) -> int:
+    """``value`` as a non-negative int: a numpy integer becomes the equal int, a bool fails."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return value
+
+
 @dataclass(frozen=True)
 class SiConfig:
     """One spreading experiment: infection rate, seed set, replication."""
@@ -61,30 +75,9 @@ class SiConfig:
             raise ValueError("replicates must be >= 1")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        # operator.index takes numpy integers as the equal int and rejects
-        # floats; a bool is an int to it, so it is refused by name
-        if isinstance(self.rng_seed, (bool, np.bool_)):
-            raise TypeError("rng_seed must be an integer, not a bool")
-        try:
-            rng_seed = operator.index(self.rng_seed)
-        except TypeError:
-            raise TypeError(f"rng_seed must be an integer, got {self.rng_seed!r}") from None
-        if rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
-        object.__setattr__(self, "rng_seed", rng_seed)
-        object.__setattr__(self, "seeds", tuple(sorted(set(self.seeds))))
-
-
-@dataclass(frozen=True)
-class SiTrajectory:
-    """Infected counts F(0), F(1), ... of one replicate.
-
-    ``terminated_at`` is the step at which no further infection was
-    possible (or the step cap); F is constant from there on.
-    """
-
-    f: tuple[int, ...]
-    terminated_at: int
+        object.__setattr__(self, "rng_seed", _seed_int("rng_seed", self.rng_seed))
+        seeds = {_seed_int("seeds entry", s) for s in self.seeds}
+        object.__setattr__(self, "seeds", tuple(sorted(seeds)))
 
 
 @dataclass(frozen=True)
@@ -97,8 +90,6 @@ class TrajectoryEnsemble:
 
     mean_f: tuple[float, ...]
     std_f: tuple[float, ...]
-    replicates: int
-    trajectories: tuple[SiTrajectory, ...] | None = None
 
 
 def lambda_from_beta(beta: float) -> float:
@@ -214,10 +205,10 @@ def pcg64_states(master_seed: int, replicates) -> list[tuple[int, int]]:
 class ReplicateStreams:
     """Uniform draws for a batch of replicate rows, row r continuing ``states[r]``.
 
-    Each row keeps a buffer of its next uniforms. One shared PCG64, set to
-    the row's (state, inc) and advanced past what the row has drawn, refills
-    it only when a step needs more than is left, so row r yields exactly the
-    doubles of the Generator it stands for, in order.
+    Each row keeps its unread uniforms at the end of its buffer. One shared
+    PCG64, set to the row's (state, inc) and advanced past what the row has
+    drawn, refills it only when a step needs more than is left, so row r
+    yields exactly the doubles of the Generator it stands for, in order.
     """
 
     def __init__(self, states: list[tuple[int, int]]):
@@ -226,8 +217,7 @@ class ReplicateStreams:
         self._random = np.random.Generator(self._bits).random
         width = min(_ROW_BUFFER, max(1, _STREAM_BUFFER // len(states)))
         self._buf = np.empty((len(states), width))
-        self._pos = np.zeros(len(states), dtype=np.intp)
-        self._fill = np.zeros(len(states), dtype=np.intp)
+        self._pos = np.full(len(states), width, dtype=np.intp)  # every row starts empty
         self._drawn = [0] * len(states)
 
     def __len__(self) -> int:
@@ -235,23 +225,24 @@ class ReplicateStreams:
 
     def draw(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The next ``counts[i]`` uniforms of each row ``rows[i]``, concatenated in that order."""
+        width = self._buf.shape[1]
         if rows.size == 1:  # a lone row's draws are one slice of its buffer
             row, count = rows.item(), counts.item()
-            if self._pos[row] + count > self._fill[row]:
+            if self._pos[row] + count > width:
                 self._refill(row, count)
             start = self._pos[row]
             self._pos[row] = start + count
             return self._buf[row, start : start + count]
         start = self._pos[rows]
         end = start + counts
-        short = end > self._fill[rows]
+        short = end > width
         if short.any():
             for row, need in zip(rows[short].tolist(), counts[short].tolist()):
                 self._refill(row, need)
+            width = self._buf.shape[1]
             start = self._pos[rows]
             end = start + counts
         self._pos[rows] = end
-        width = self._buf.shape[1]
         offsets = np.cumsum(counts) - counts
         cells = np.repeat(rows * width + start - offsets, counts)
         return self._buf.ravel()[cells + np.arange(cells.size)]
@@ -259,15 +250,15 @@ class ReplicateStreams:
     def _refill(self, row: int, need: int) -> None:
         """Keep the row's unread uniforms and fill the rest of its buffer from its stream."""
         width = self._buf.shape[1]
-        if need > width:
+        if need > width:  # every row's unread uniforms move to the end of a wider buffer
             wider = np.empty((len(self), need))
-            wider[:, :width] = self._buf
+            wider[:, need - width :] = self._buf
             self._buf = wider
+            self._pos += need - width
         buf = self._buf[row]
-        pos, fill = int(self._pos[row]), int(self._fill[row])
-        left = fill - pos
+        left = buf.size - int(self._pos[row])
         if left:
-            buf[:left] = buf[pos:fill]
+            buf[:left] = buf[-left:]
         state, inc = self._states[row]
         self._bits.state = {
             "bit_generator": "PCG64",
@@ -280,7 +271,6 @@ class ReplicateStreams:
         self._random(out=buf[left:])
         self._drawn[row] += buf.size - left
         self._pos[row] = 0
-        self._fill[row] = buf.size
 
 
 def _generator_draw(rng: np.random.Generator | Sequence[np.random.Generator]):
@@ -357,21 +347,17 @@ def _run_chunk(
     return np.stack(counts, axis=1)
 
 
-def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> TrajectoryEnsemble:
-    """Run the configured replicates and aggregate their trajectories.
+def replicate_counts(g: Graph, cfg: SiConfig) -> np.ndarray:
+    """Infected counts of every replicate at steps 0..T, one int row per replicate.
 
-    Deterministic given cfg: replicate k always uses the substream derived
-    from (cfg.rng_seed, k), independent of the replicate count and of how
-    the replicates are batched.
+    T is the last step any replicate took; a replicate that stopped earlier
+    keeps its terminal count. Deterministic given cfg: replicate k always
+    uses the substream derived from (cfg.rng_seed, k), independent of the
+    replicate count and of how the replicates are batched.
     """
-    for s in cfg.seeds:
-        if not 0 <= s < g.node_count:
-            raise ValueError(f"seed node {s} out of range for {g.node_count} nodes")
-    if cfg.max_steps is not None:
-        max_steps = cfg.max_steps
-    else:
-        max_steps = 10 * max(diameter(g), 1)
-
+    if cfg.seeds[-1] >= g.node_count:  # seeds are sorted
+        raise ValueError(f"seed node {cfg.seeds[-1]} out of range for {g.node_count} nodes")
+    max_steps = cfg.max_steps if cfg.max_steps is not None else 10 * max(diameter(g), 1)
     components = g.components
     reach = sum(
         components.component_sizes[c] for c in {components.component_id[s] for s in cfg.seeds}
@@ -383,33 +369,20 @@ def simulate(g: Graph, cfg: SiConfig, *, keep_replicates: bool = False) -> Traje
         _run_chunk(g, cfg.seeds, cfg.lam, max_steps, ReplicateStreams(batch), reach)
         for batch in batches
     ]
-
     # pad every batch to the longest run by carrying its terminal counts
     length = max(part.shape[1] for part in parts)
-    counts = np.vstack(
+    return np.vstack(
         [np.pad(part, ((0, 0), (0, length - part.shape[1])), mode="edge") for part in parts]
     )
-    table = counts.astype(np.float64)
-    mean = table.mean(axis=0)
-    if cfg.replicates > 1:
-        std = table.std(axis=0, ddof=1)
-    else:
-        std = np.zeros(length)
-    trajectories = None
-    if keep_replicates:
-        # a row stops at its first step with all of reach infected; a row that
-        # never gets there ran to the step cap, and so did the longest batch
-        full = counts == reach
-        stopped_at = np.where(full.any(axis=1), full.argmax(axis=1), length - 1).tolist()
-        trajectories = tuple(
-            SiTrajectory(tuple(row[: stop + 1]), terminated_at=stop)
-            for row, stop in zip(counts.tolist(), stopped_at)
-        )
+
+
+def simulate(g: Graph, cfg: SiConfig) -> TrajectoryEnsemble:
+    """Mean and sample deviation of ``replicate_counts`` per step."""
+    table = replicate_counts(g, cfg).astype(np.float64)
+    std = table.std(axis=0, ddof=1) if cfg.replicates > 1 else np.zeros(table.shape[1])
     return TrajectoryEnsemble(
-        mean_f=tuple(float(v) for v in mean),
+        mean_f=tuple(float(v) for v in table.mean(axis=0)),
         std_f=tuple(float(v) for v in std),
-        replicates=cfg.replicates,
-        trajectories=trajectories,
     )
 
 

@@ -9,12 +9,13 @@ check.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fldrank import UNREACHABLE, Graph, SiTrajectory, bfs_distances, replicate_rng
+from fldrank import UNREACHABLE, Graph, bfs_distances, replicate_rng
 from fldrank.datasets import load_karate, load_kite
 
 
@@ -240,6 +241,29 @@ def oracle_si_step(
     arr = np.asarray(targets, dtype=np.int64)
     hits = arr[rng.random(arr.size) < lam]
     return np.unique(hits)
+
+
+@dataclass(frozen=True)
+class SiTrajectory:
+    """Infected counts F(0), F(1), ... of one oracle replicate.
+
+    ``terminated_at`` is the step at which no further infection was
+    possible (or the step cap); F is constant from there on.
+    """
+
+    f: tuple[int, ...]
+    terminated_at: int
+
+
+def same_runs(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two ``replicate_counts`` tables hold the same runs.
+
+    A table is as long as its slowest run, so the shorter one is padded
+    with each row's terminal count before the comparison.
+    """
+    length = max(a.shape[1], b.shape[1])
+    a, b = (np.pad(t, ((0, 0), (0, length - t.shape[1])), mode="edge") for t in (a, b))
+    return np.array_equal(a, b)
 
 
 def oracle_trajectory(

@@ -199,6 +199,21 @@ def test_sweep_validates_arguments(kite):
         tau_sweep(kite, sv, [1.5])
 
 
+@pytest.mark.parametrize(
+    "bad, error", [(True, TypeError), (1.5, TypeError), ("1", TypeError), (-1, ValueError)]
+)
+def test_sweep_rejects_a_seed_that_is_not_a_non_negative_integer(kite, bad, error):
+    # True used to run as seed 1, and 1.5 failed inside the seed hash without naming rng_seed
+    with pytest.raises(error, match="rng_seed"):
+        tau_sweep(kite, degree_centrality(kite), [0.5], t_eval=2, replicates=2, rng_seed=bad)
+
+
+def test_sweep_runs_a_numpy_integer_seed_as_the_equal_int(kite):
+    sv = degree_centrality(kite)
+    runs = [tau_sweep(kite, sv, [0.3], t_eval=3, replicates=4, rng_seed=s) for s in (np.int64(7), 7)]
+    assert runs[0] == runs[1]
+
+
 def test_sweep_excludes_undefined_nodes():
     g = Graph.build([("a", "b"), ("b", "c")], nodes=["x"])
     sv = compute_measure(g, "cc")

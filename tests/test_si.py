@@ -13,6 +13,7 @@ from conftest import (
     oracle_trajectory,
     path_graph,
     random_graph,
+    same_runs,
     star_graph,
 )
 from fldrank import (
@@ -21,6 +22,7 @@ from fldrank import (
     bfs_distances,
     connected_components,
     lambda_from_beta,
+    replicate_counts,
     replicate_rng,
     si_step,
     simulate,
@@ -76,19 +78,17 @@ def test_step_returns_unique_sorted_ids():
 
 def test_wavefront_from_kite_center(kite):
     cfg = SiConfig(lam=1.0, seeds=(kite.label_to_id["7"],), replicates=4, rng_seed=9)
-    ensemble = simulate(kite, cfg, keep_replicates=True)
+    ensemble = simulate(kite, cfg)
     assert ensemble.mean_f == (1.0, 7.0, 8.0, 9.0, 10.0)
     assert all(v == 0.0 for v in ensemble.std_f)
-    for trajectory in ensemble.trajectories:
-        assert trajectory.f == (1, 7, 8, 9, 10)
-        assert trajectory.terminated_at == 4
+    # every replicate stops at step 4, so the table has no padding
+    assert replicate_counts(kite, cfg).tolist() == [[1, 7, 8, 9, 10]] * 4
 
 
 def test_zero_rate_trajectory_is_constant(kite):
     cfg = SiConfig(lam=0.0, seeds=(0, 3), replicates=3)
-    ensemble = simulate(kite, cfg, keep_replicates=True)
-    assert ensemble.mean_f == (2.0,)
-    assert ensemble.trajectories[0].terminated_at == 0
+    assert simulate(kite, cfg).mean_f == (2.0,)
+    assert replicate_counts(kite, cfg).tolist() == [[2]] * 3  # every run stops at step 0
 
 
 def test_config_validation():
@@ -117,9 +117,25 @@ def test_numpy_integer_seed_runs_the_streams_of_the_equal_int(karate, seed):
     cfg = SiConfig(lam=0.3, seeds=(0,), replicates=6, rng_seed=seed)
     assert type(cfg.rng_seed) is int and cfg.rng_seed == int(seed)
     plain = SiConfig(lam=0.3, seeds=(0,), replicates=6, rng_seed=int(seed))
-    assert simulate(karate, cfg, keep_replicates=True) == simulate(
-        karate, plain, keep_replicates=True
-    )
+    assert simulate(karate, cfg) == simulate(karate, plain)
+    assert np.array_equal(replicate_counts(karate, cfg), replicate_counts(karate, plain))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(True, TypeError), (np.True_, TypeError), (1.0, TypeError), ("1", TypeError), (-1, ValueError)],
+)
+def test_config_rejects_a_seed_node_that_is_not_a_non_negative_integer(bad, error):
+    # True used to fail inside simulate as a bare IndexError, 1.0 as a tuple-index TypeError
+    with pytest.raises(error, match="seeds"):
+        SiConfig(lam=0.5, seeds=(0, bad))
+
+
+def test_numpy_integer_seed_node_runs_as_the_equal_int(karate):
+    cfg = SiConfig(lam=0.3, seeds=(np.int64(7),), replicates=6)
+    assert cfg.seeds == (7,) and type(cfg.seeds[0]) is int
+    plain = SiConfig(lam=0.3, seeds=(7,), replicates=6)
+    assert np.array_equal(replicate_counts(karate, cfg), replicate_counts(karate, plain))
 
 
 def test_simulate_rejects_out_of_range_seed(kite):
@@ -134,11 +150,9 @@ def test_lambda_from_beta():
 
 def test_trajectory_monotone_and_bounded(karate):
     cfg = SiConfig(lam=0.2, seeds=(0,), replicates=10, rng_seed=5)
-    ensemble = simulate(karate, cfg, keep_replicates=True)
-    for trajectory in ensemble.trajectories:
-        for a, b in zip(trajectory.f, trajectory.f[1:]):
-            assert a <= b
-        assert trajectory.f[-1] <= karate.node_count
+    counts = replicate_counts(karate, cfg)
+    assert (np.diff(counts, axis=1) >= 0).all()
+    assert counts[:, -1].max() <= karate.node_count
 
 
 def test_bounded_by_reachable_set():
@@ -156,9 +170,7 @@ def test_saturation_at_high_rate_before_step_cap():
         seed = int(rng.integers(g.node_count))
         reach = comp.component_sizes[comp.component_id[seed]]
         cfg = SiConfig(lam=0.5, seeds=(seed,), replicates=8, rng_seed=int(rng.integers(2**32)))
-        ensemble = simulate(g, cfg, keep_replicates=True)
-        for trajectory in ensemble.trajectories:
-            assert trajectory.f[-1] == reach
+        assert (replicate_counts(g, cfg)[:, -1] == reach).all()
 
 
 def test_susceptible_plus_infected_partition_holds(kite):
@@ -177,11 +189,17 @@ def test_susceptible_plus_infected_partition_holds(kite):
 def test_padding_aligns_replicates_of_different_length():
     g = path_graph(6)
     cfg = SiConfig(lam=0.45, seeds=(0,), replicates=20, rng_seed=1)
-    ensemble = simulate(g, cfg, keep_replicates=True)
-    length = len(ensemble.mean_f)
-    assert len(ensemble.std_f) == length
-    assert max(len(tr.f) for tr in ensemble.trajectories) == length
-    assert any(len(tr.f) < length for tr in ensemble.trajectories)
+    ensemble = simulate(g, cfg)
+    counts = replicate_counts(g, cfg)
+    length = counts.shape[1]
+    assert len(ensemble.mean_f) == len(ensemble.std_f) == length
+    # every run infects the whole path; the slowest does so at the last
+    # step, and a faster one is padded with its terminal count
+    full = counts == g.node_count
+    assert full[:, -1].all()
+    stopped_at = full.argmax(axis=1)
+    assert stopped_at.max() == length - 1
+    assert stopped_at.min() < length - 1
 
 
 # --- batched kernel against the per-contact oracle ----------------------------
@@ -203,10 +221,28 @@ def test_simulate_matches_per_contact_oracle(graph, lam, max_steps, request):
     else:
         g, seeds = request.getfixturevalue(graph), (0,)
     cfg = SiConfig(lam=lam, seeds=seeds, replicates=12, max_steps=max_steps, rng_seed=21)
-    expected = tuple(
-        oracle_trajectory(g, cfg.seeds, lam, max_steps, replicate_rng(21, k)) for k in range(12)
-    )
-    assert simulate(g, cfg, keep_replicates=True).trajectories == expected
+    _assert_counts_match_oracle(g, cfg)
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 3])
+def test_simulate_matches_oracle_on_steps_wider_than_a_row_buffer(max_steps):
+    # the center's first step draws one uniform per leaf, past a row's default buffer
+    g = star_graph(_ROW_BUFFER + 76)
+    cfg = SiConfig(lam=0.05, seeds=(g.label_to_id["c"],), replicates=12, max_steps=max_steps)
+    _assert_counts_match_oracle(g, cfg)
+
+
+def _assert_counts_match_oracle(g, cfg):
+    """Each table row is its oracle run padded with its terminal count."""
+    expected = [
+        oracle_trajectory(g, cfg.seeds, cfg.lam, cfg.max_steps, replicate_rng(cfg.rng_seed, k))
+        for k in range(cfg.replicates)
+    ]
+    table = replicate_counts(g, cfg)
+    assert table.shape == (cfg.replicates, max(tr.terminated_at for tr in expected) + 1)
+    for row, trajectory in zip(table.tolist(), expected):
+        f = list(trajectory.f)
+        assert row == f + f[-1:] * (len(row) - len(f))
 
 
 def test_step_matches_per_contact_oracle(karate):
@@ -238,16 +274,20 @@ def test_simulate_steps_each_batch_through_si_step(karate, monkeypatch):
 
     monkeypatch.setattr(fldrank.si, "si_step", spy)
     cfg = SiConfig(lam=0.2, seeds=(0,), replicates=10, max_steps=5, rng_seed=1)
-    ensemble = simulate(karate, cfg, keep_replicates=True)
-    assert len(sizes) == max(tr.terminated_at for tr in ensemble.trajectories)
-    assert sum(sizes) == sum(tr.f[-1] - tr.f[0] for tr in ensemble.trajectories)
+    simulate(karate, cfg)
+    monkeypatch.undo()
+    counts = replicate_counts(karate, cfg)  # the ten rows run as one batch
+    assert len(sizes) == counts.shape[1] - 1
+    assert sum(sizes) == (counts[:, -1] - counts[:, 0]).sum()
 
 
 def test_ensemble_does_not_depend_on_batch_size(karate, monkeypatch):
     cfg = SiConfig(lam=0.15, seeds=(0, 33), replicates=30, rng_seed=6)
-    batched = simulate(karate, cfg, keep_replicates=True)
+    batched = simulate(karate, cfg)
+    batched_counts = replicate_counts(karate, cfg)
     monkeypatch.setattr(fldrank.si, "_CHUNK_CONTACTS", 1)  # one replicate per batch
-    assert simulate(karate, cfg, keep_replicates=True) == batched
+    assert simulate(karate, cfg) == batched
+    assert same_runs(replicate_counts(karate, cfg), batched_counts)
 
 
 # --- replicate streams against numpy's own generators --------------------------
@@ -271,15 +311,22 @@ def test_pcg64_states_are_the_states_replicate_rng_starts_from(seed):
 def test_streams_match_replicate_rng_draw_for_draw(seed):
     streams = ReplicateStreams(pcg64_states(seed, EDGE_KEYS))
     refs = [replicate_rng(seed, key) for key in EDGE_KEYS]
-    w = _ROW_BUFFER  # each of the four rows starts with this many buffered
+    w = _ROW_BUFFER  # each of the four rows starts with an empty buffer this wide
     schedule = [
-        ([0, 1, 2, 3], [3, 0, w, 1]),  # row 2 drains its buffer exactly
+        ([0, 1, 2, 3], [3, 0, w, 1]),  # every row fills on its first draw; row 2 drains it
         ([0, 2, 3], [w - 3, 1, 5]),  # row 0 drains; row 2 refills from offset w
-        ([1, 3], [w + 7, 2]),  # row 1's first step needs more than a row holds
-        # rows 0 and 3 refill and widen in one step; row 3's draws straddle
-        # its old buffer's end and the new fill
+        ([1, 3], [w - 2, 2]),  # row 1's first draw leaves 2 unread
+        # rows 1 and 3 refill in one step, and their draws straddle the end of
+        # the old buffer and the new fill; row 0 refills from empty
+        ([0, 1, 2, 3], [w // 2, 5, 1, w - 4]),
+        ([3], [w]),  # a lone row draws a whole buffer right after a partial read
+        # row 1 needs more than a row holds: every row widens, and row 2 reads
+        # on from its unread uniforms at the end of the wider buffer
+        ([1, 2], [w + 7, 3]),
+        # row 0 widens and refills, then row 3 widens again and moves row 0's
+        # fresh uniforms; row 0's draws straddle its old unread and the fill
         ([0, 1, 2, 3], [2 * w, 0, 1, 3 * w]),
-        ([3], [5000]),  # a lone row: one slice, after a refill
+        ([3], [5000]),  # a lone row widens: one slice, after a refill
         ([3], [4]),
         ([1, 2], [1, 1]),
     ]
@@ -383,9 +430,9 @@ def test_identical_config_identical_ensemble(karate):
 def test_replicate_trajectory_does_not_depend_on_replicate_count(karate):
     def run(replicates):
         cfg = SiConfig(lam=0.25, seeds=(1, 2, 3), replicates=replicates, rng_seed=4)
-        return simulate(karate, cfg, keep_replicates=True).trajectories
+        return replicate_counts(karate, cfg)
 
-    assert run(16)[:8] == run(8)
+    assert same_runs(run(16)[:8], run(8))
 
 
 # --- per-node spreading ability ----------------------------------------------
