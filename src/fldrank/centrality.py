@@ -80,10 +80,6 @@ class ScoreVector:
         if defined.size and not np.all(np.isfinite(defined)):
             raise ValueError("defined scores must be finite")
 
-    @property
-    def direction(self) -> SortDirection:
-        return self.measure.direction
-
 
 @dataclass(frozen=True)
 class RankingList:
@@ -118,7 +114,8 @@ def rank_nodes(sv: ScoreVector, labels: tuple[str, ...]) -> RankingList:
     defined = [i for i in range(len(labels)) if not sv.undefined[i]]
     missing = [i for i in range(len(labels)) if sv.undefined[i]]
     defined.sort(key=lambda i: label_sort_key(labels[i]))
-    defined.sort(key=lambda i: sv.scores[i], reverse=sv.direction is SortDirection.DESCENDING)
+    descending = sv.measure.direction is SortDirection.DESCENDING
+    defined.sort(key=lambda i: sv.scores[i], reverse=descending)
     missing.sort(key=lambda i: label_sort_key(labels[i]))
     order = defined + missing
     return RankingList(

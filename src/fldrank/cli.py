@@ -26,11 +26,11 @@ from .si import SiConfig, lambda_from_beta, simulate
 # Longest --lambda-range grid accepted (the paper's grid has 10 rates).
 _MAX_RATES = 1000
 
-_SCHEMAS = {
+_COLUMNS = {
     "rank": ("rank", "node", "score", "undefined"),
-    "trajectory": ("t", "mean_F", "std_F"),
+    "si": ("t", "mean_F", "std_F"),
     "tau": ("lambda", "tau", "n_c", "n_d"),
-    "overlap": ("measure_a", "measure_b", "k", "overlap"),
+    "compare": ("measure_a", "measure_b", "k", "overlap"),
 }
 
 
@@ -43,37 +43,11 @@ def _cell(value, output: str):
     return str(value) if output == "csv" else value
 
 
-def _render(schema: str, rows, output: str) -> str:
-    columns = _SCHEMAS[schema]
+def _render(columns: tuple[str, ...], rows, output: str) -> str:
     cells = [[_cell(v, output) for v in row] for row in rows]
     if output == "json":
         return json.dumps([dict(zip(columns, row)) for row in cells], indent=2) + "\n"
     return "\n".join([",".join(columns), *(",".join(row) for row in cells)]) + "\n"
-
-
-def _load(args) -> tuple[Graph, str]:
-    """Read the input file once; return its graph and the sha256 of those bytes."""
-    data = Path(args.input).read_bytes()
-    return parse_edge_list(data), hashlib.sha256(data).hexdigest()
-
-
-def _emit(args, sha256: str, command: str, schema: str, rows, params: dict) -> None:
-    payload = _render(schema, rows, args.output)
-    manifest = {
-        "tool": "fldrank",
-        "version": __version__,
-        "command": command,
-        "input": {"path": str(args.input), "sha256": sha256},
-        "params": params,
-        "output": {"format": args.output, "path": str(args.out) if args.out else None},
-    }
-    manifest_text = json.dumps(manifest, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, newline="")
-        Path(str(args.out) + ".manifest.json").write_text(manifest_text, newline="")
-    else:
-        sys.stdout.write(payload)
-        sys.stderr.write(manifest_text)
 
 
 def _int_at_least(raw: str, low: int, condition: str) -> int:
@@ -152,7 +126,8 @@ def _parse_lambda_range(raw: str) -> list[float]:
     return values
 
 
-def _resolve_seeds(g: Graph, args) -> tuple[tuple[int, ...], list[str]]:
+def _resolve_seeds(g: Graph, args) -> tuple[int, ...]:
+    """Node IDs of --seeds, or of the --top nodes of --measure, as given."""
     if args.seeds is not None:
         ids = []
         for label in args.seeds.split(","):
@@ -160,17 +135,17 @@ def _resolve_seeds(g: Graph, args) -> tuple[tuple[int, ...], list[str]]:
             if label not in g.label_to_id:
                 raise ValueError(f"seed label {label!r} not in graph")
             ids.append(g.label_to_id[label])
-        seeds = tuple(sorted(set(ids)))
-    else:
-        ranking = rank_nodes(compute_measure(g, args.measure), g.node_labels)
-        if args.top > len(ranking.labels):
-            raise ValueError(f"--top {args.top} exceeds node count {len(ranking.labels)}")
-        seeds = tuple(sorted(g.label_to_id[l] for l in ranking.top(args.top)))
-    return seeds, [g.node_labels[s] for s in seeds]
+        return tuple(ids)
+    ranking = rank_nodes(compute_measure(g, args.measure), g.node_labels)
+    if args.top > len(ranking.labels):
+        raise ValueError(f"--top {args.top} exceeds node count {len(ranking.labels)}")
+    return tuple(g.label_to_id[l] for l in ranking.top(args.top))
 
 
-def cmd_rank(args) -> int:
-    g, sha256 = _load(args)
+# Each subcommand maps the parsed graph and arguments to (rows, manifest params).
+
+
+def cmd_rank(g: Graph, args) -> tuple[list, dict]:
     ranking = rank_nodes(compute_measure(g, args.measure), g.node_labels)
     rows = [
         (pos, label, score, undefined)
@@ -178,17 +153,14 @@ def cmd_rank(args) -> int:
             zip(ranking.labels, ranking.scores, ranking.undefined), start=1
         )
     ]
-    _emit(args, sha256, "rank", "rank", rows, {"measure": args.measure.value})
-    return 0
+    return rows, {"measure": args.measure.value}
 
 
-def cmd_si(args) -> int:
-    g, sha256 = _load(args)
+def cmd_si(g: Graph, args) -> tuple[list, dict]:
     lam = args.lam if args.lam is not None else lambda_from_beta(args.beta)
-    seeds, seed_labels = _resolve_seeds(g, args)
     cfg = SiConfig(
         lam=lam,
-        seeds=seeds,
+        seeds=_resolve_seeds(g, args),
         replicates=args.replicates,
         max_steps=args.max_steps,
         rng_seed=args.rng_seed,
@@ -199,7 +171,7 @@ def cmd_si(args) -> int:
         for t, (mean, std) in enumerate(zip(ensemble.mean_f, ensemble.std_f))
     ]
     params = {
-        "seeds": seed_labels,
+        "seeds": [g.node_labels[s] for s in cfg.seeds],
         "top": args.top,
         "measure": args.measure.value if args.measure else None,
         "beta": args.beta,
@@ -208,12 +180,10 @@ def cmd_si(args) -> int:
         "rng_seed": args.rng_seed,
         "max_steps": args.max_steps,
     }
-    _emit(args, sha256, "si", "trajectory", rows, params)
-    return 0
+    return rows, params
 
 
-def cmd_tau(args) -> int:
-    g, sha256 = _load(args)
+def cmd_tau(g: Graph, args) -> tuple[list, dict]:
     sv = compute_measure(g, args.measure)
     results = tau_sweep(
         g,
@@ -231,12 +201,10 @@ def cmd_tau(args) -> int:
         "replicates": args.replicates,
         "rng_seed": args.rng_seed,
     }
-    _emit(args, sha256, "tau", "tau", rows, params)
-    return 0
+    return rows, params
 
 
-def cmd_compare(args) -> int:
-    g, sha256 = _load(args)
+def cmd_compare(g: Graph, args) -> tuple[list, dict]:
     rankings = {
         m: rank_nodes(compute_measure(g, m), g.node_labels) for m in args.measures
     }
@@ -245,9 +213,7 @@ def cmd_compare(args) -> int:
         for a in args.measures
         for b in args.measures
     ]
-    params = {"measures": [m.value for m in args.measures], "k": args.k}
-    _emit(args, sha256, "compare", "overlap", rows, params)
-    return 0
+    return rows, {"measures": [m.value for m in args.measures], "k": args.k}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +282,25 @@ def main(argv=None) -> int:
         # one "warning: ..." line per library warning, without its source line
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            data = Path(args.input).read_bytes()  # read once: parsed and hashed
+            rows, params = args.func(parse_edge_list(data), args)
+            payload = _render(_COLUMNS[args.command], rows, args.output)
+            manifest = {
+                "tool": "fldrank",
+                "version": __version__,
+                "command": args.command,
+                "input": {"path": str(args.input), "sha256": hashlib.sha256(data).hexdigest()},
+                "params": params,
+                "output": {"format": args.output, "path": str(args.out) if args.out else None},
+            }
+            manifest_text = json.dumps(manifest, indent=2) + "\n"
+            if args.out:
+                Path(args.out).write_text(payload, newline="")
+                Path(str(args.out) + ".manifest.json").write_text(manifest_text, newline="")
+            else:
+                sys.stdout.write(payload)
+                sys.stderr.write(manifest_text)
+            return 0
         except (PowerIterationError, ValueError, OSError) as exc:  # EdgeListError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -22,7 +22,7 @@ from .centrality import (
 )
 from .fld import fuzzy_local_dimension
 from .graph import Graph
-from .si import _seed_int, derive_seed, spreading_ability
+from .si import _int_at_least, derive_seed, spreading_ability
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def top_k_overlap(a: RankingList, b: RankingList, k: int) -> int:
 
 def oriented_scores(sv: ScoreVector) -> np.ndarray:
     """Scores flipped so that larger always means more influential."""
-    if sv.direction is SortDirection.ASCENDING:
+    if sv.measure.direction is SortDirection.ASCENDING:
         return -sv.scores
     return sv.scores.copy()
 
@@ -122,7 +122,7 @@ def tau_sweep(
     keep = [i for i in range(g.node_count) if not sv.undefined[i]]
     if len(keep) < 2:
         raise ValueError("need at least two defined nodes")
-    rng_seed = _seed_int("rng_seed", rng_seed)
+    rng_seed = _int_at_least("rng_seed", rng_seed)
     w = tuple(float(x) for x in oriented_scores(sv)[keep])
     results: list[tuple[float, TauResult]] = []
     for li, lam in enumerate(grid):

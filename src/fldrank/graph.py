@@ -128,15 +128,6 @@ class DistanceField:
     d_max: int
     shell_counts: tuple[int, ...]
 
-    def cumulative_counts(self) -> tuple[int, ...]:
-        """Nodes within distance r of the source (self included), r = 0..d_max."""
-        out: list[int] = []
-        total = 0
-        for c in self.shell_counts:
-            total += c
-            out.append(total)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ComponentMap:

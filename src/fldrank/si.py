@@ -43,16 +43,16 @@ _STREAM_BUFFER = 2**15
 _ROW_BUFFER = 2**10
 
 
-def _seed_int(name: str, value) -> int:
-    """``value`` as a non-negative int: a numpy integer becomes the equal int, a bool fails."""
+def _int_at_least(name: str, value, low: int = 0) -> int:
+    """``value`` as an int >= low: a numpy integer becomes the equal int, a bool fails."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{name} must be an integer, not a bool")
     try:
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 
@@ -71,12 +71,11 @@ class SiConfig:
             raise ValueError("lam must lie in [0, 1]")
         if not self.seeds:
             raise ValueError("seed set must not be empty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        object.__setattr__(self, "rng_seed", _seed_int("rng_seed", self.rng_seed))
-        seeds = {_seed_int("seeds entry", s) for s in self.seeds}
+        object.__setattr__(self, "replicates", _int_at_least("replicates", self.replicates, 1))
+        if self.max_steps is not None:
+            object.__setattr__(self, "max_steps", _int_at_least("max_steps", self.max_steps))
+        object.__setattr__(self, "rng_seed", _int_at_least("rng_seed", self.rng_seed))
+        seeds = {_int_at_least("seeds entry", s) for s in self.seeds}
         object.__setattr__(self, "seeds", tuple(sorted(seeds)))
 
 
@@ -121,28 +120,25 @@ def _words(value: int) -> list[int]:
     """Little-endian uint32 words of a non-negative integer (0 is one word)."""
     value = operator.index(value)
     if value < 0:
-        raise ValueError("seed and key values must be non-negative")
+        raise ValueError("seed must be non-negative")
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)
     return words
 
 
-def _seed_state(entropy: int, key: Sequence, n_words: int) -> list:
-    """``SeedSequence(entropy, spawn_key=key).generate_state(n_words)`` as uint32 words.
+def _seed_state(entropy: int, keys: np.ndarray, n_words: int) -> list[np.ndarray]:
+    """``SeedSequence(entropy, spawn_key=(k,)).generate_state(n_words)`` per uint32 key k.
 
-    numpy's hash, step for step. A key entry is an integer or a uint32 array
-    holding that entry for many streams at once; then every word is an array
-    and the entropy's own mixing runs once for all of them. Every value is
-    kept below 2**32 before it meets an array, so the uint32 arithmetic wraps
-    alike under numpy 1.x value-based casting and numpy 2's NEP 50.
+    numpy's hash, step for step, with every word an array over ``keys``; the
+    entropy's own mixing runs once for all of them. Every value is kept below
+    2**32 before it meets an array, so the uint32 arithmetic wraps alike
+    under numpy 1.x value-based casting and numpy 2's NEP 50.
     """
-    # entropy shorter than the pool is padded with zeros, and a key starts after it
+    # entropy shorter than the pool is padded with zeros, and the key follows it
     run = _words(entropy)
     run += [0] * (4 - len(run))
-    rest = run[4:] + [
-        w for entry in key for w in ([entry] if isinstance(entry, np.ndarray) else _words(entry))
-    ]
+    rest = run[4:] + [keys]
     h = _INIT_A
 
     def hashmix(value):
@@ -175,12 +171,8 @@ def _seed_state(entropy: int, key: Sequence, n_words: int) -> list:
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
-    """Fold a key path into a fresh 64-bit master seed (for nested campaigns).
-
-    Equals ``SeedSequence(master_seed, spawn_key=key).generate_state(1, np.uint64)[0]``.
-    """
-    lo, hi = _seed_state(master_seed, key, 2)
-    return lo | hi << 32
+    """Fold a key path into a fresh 64-bit master seed (for nested campaigns)."""
+    return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
 def pcg64_states(master_seed: int, replicates) -> list[tuple[int, int]]:
@@ -193,7 +185,7 @@ def pcg64_states(master_seed: int, replicates) -> list[tuple[int, int]]:
     keys = np.asarray(replicates, dtype=np.int64)
     if keys.size and not (0 <= keys.min() and keys.max() <= _MASK32):
         raise ValueError("replicate indices must lie in [0, 2**32)")
-    words = np.stack(_seed_state(master_seed, [keys.astype(np.uint32)], 8), axis=1)
+    words = np.stack(_seed_state(master_seed, keys.astype(np.uint32), 8), axis=1)
     states = []
     # generate_state(4, np.uint64) reads the uint32 words little-endian
     for s0, s1, i0, i1 in words.astype("<u4").view("<u8").tolist():
@@ -398,10 +390,10 @@ def spreading_ability(
     """Mean infected count at step t_eval when seeding only ``node``.
 
     The per-node ground truth for rank-correlation against the centrality
-    measures. Replicates stopping before t_eval keep their terminal count.
+    measures. Replicates stopping before t_eval keep their terminal count, so
+    the last column of the count table (at most t_eval + 1 long) is the one.
     """
-    if t_eval < 1:
-        raise ValueError("t_eval must be >= 1")
+    t_eval = _int_at_least("t_eval", t_eval, 1)
     cfg = SiConfig(
         lam=lam,
         seeds=(node,),
@@ -409,6 +401,4 @@ def spreading_ability(
         max_steps=t_eval,
         rng_seed=rng_seed,
     )
-    ensemble = simulate(g, cfg)
-    idx = min(t_eval, len(ensemble.mean_f) - 1)
-    return ensemble.mean_f[idx]
+    return simulate(g, cfg).mean_f[-1]

@@ -103,10 +103,23 @@ def test_unknown_measure_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_missing_input_file(capsys):
-    code, _, err = run(capsys, ["rank", "--input", "/nonexistent.edges", "--measure", "dc"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--measure", "dc"],
+        ["si", "--seeds", "1", "--lambda", "0.5"],
+        ["tau", "--measure", "fld"],
+        ["compare"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_input_file(argv, capsys, tmp_path):
+    missing = tmp_path / "missing.edges"
+    code, out, err = run(capsys, [argv[0], "--input", str(missing), *argv[1:]])
     assert code == 1
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
 
 
 def test_malformed_input_names_line(tmp_path, capsys):
@@ -218,7 +231,8 @@ def test_si_top_seeds_from_measure(tmp_path):
     )
     assert code == 0
     manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
-    assert sorted(manifest["params"]["seeds"]) == ["4", "5", "7"]
+    # the top 3 by fld are 4, 5, 7; the manifest lists them in node-ID order
+    assert manifest["params"]["seeds"] == ["5", "7", "4"]
 
 
 def test_tau_single_cell_range(capsys):
@@ -422,7 +436,7 @@ def test_manifest_rerun_reproduces_si_bytes(tmp_path):
     argv = [
         "si",
         "--input", str(karate_path()),
-        "--seeds", "1,34",
+        "--seeds", "34,1,34,9",
         "--lambda", "0.2",
         "--replicates", "20",
         "--rng-seed", "9",
@@ -430,6 +444,8 @@ def test_manifest_rerun_reproduces_si_bytes(tmp_path):
     ]
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    # the seed set, deduplicated, in node-ID order
+    assert manifest["params"]["seeds"] == ["1", "9", "34"]
     second = tmp_path / "b.csv"
     rerun = [
         "si",
@@ -438,6 +454,59 @@ def test_manifest_rerun_reproduces_si_bytes(tmp_path):
         "--lambda", str(manifest["params"]["lambda"]),
         "--replicates", str(manifest["params"]["replicates"]),
         "--rng-seed", str(manifest["params"]["rng_seed"]),
+        "--out", str(second),
+    ]
+    assert main(rerun) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_manifest_rerun_reproduces_tau_bytes(tmp_path):
+    first = tmp_path / "a.json"
+    argv = [
+        "tau",
+        "--input", str(karate_path()),
+        "--measure", "ld",
+        "--lambda-range", "0.1:0.3:0.1",
+        "--t-eval", "3",
+        "--replicates", "5",
+        "--rng-seed", "4",
+        "--output", "json",
+        "--out", str(first),
+    ]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
+    params = manifest["params"]
+    grid = params["lambda_grid"]
+    assert grid == [0.1, 0.2, 0.3]
+    second = tmp_path / "b.json"
+    rerun = [
+        manifest["command"],
+        "--input", manifest["input"]["path"],
+        "--measure", params["measure"],
+        "--lambda-range", f"{grid[0]}:{grid[-1]}:{round(grid[1] - grid[0], 10)}",
+        "--t-eval", str(params["t_eval"]),
+        "--replicates", str(params["replicates"]),
+        "--rng-seed", str(params["rng_seed"]),
+        "--output", manifest["output"]["format"],
+        "--out", str(second),
+    ]
+    assert main(rerun) == 0
+    assert json.loads((tmp_path / "b.json.manifest.json").read_text())["params"] == params
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_manifest_rerun_reproduces_compare_bytes(tmp_path):
+    first = tmp_path / "a.csv"
+    argv = ["compare", "--input", str(karate_path()), "--measures", "fld,dc,ld", "--k", "5"]
+    assert main([*argv, "--out", str(first)]) == 0
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    second = tmp_path / "b.csv"
+    rerun = [
+        manifest["command"],
+        "--input", manifest["input"]["path"],
+        "--measures", ",".join(manifest["params"]["measures"]),
+        "--k", str(manifest["params"]["k"]),
+        "--output", manifest["output"]["format"],
         "--out", str(second),
     ]
     assert main(rerun) == 0

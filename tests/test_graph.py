@@ -115,7 +115,6 @@ def test_bfs_kite_center(kite):
     assert by_label["10"] == 4
     assert df.d_max == 4
     assert df.shell_counts == (1, 6, 1, 1, 1)
-    assert df.cumulative_counts() == (1, 7, 8, 9, 10)
 
 
 def test_bfs_isolated_node():

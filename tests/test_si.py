@@ -102,6 +102,24 @@ def test_config_validation():
         SiConfig(lam=0.5, seeds=(0,), replicates=0)
     with pytest.raises(ValueError):
         SiConfig(lam=0.5, seeds=(0,), rng_seed=-1)
+    with pytest.raises(ValueError, match="max_steps"):
+        SiConfig(lam=0.5, seeds=(0,), max_steps=-1)
+    # counts used to pass as floats or bools: 2.5 steps ran 2, NaN ran 0,
+    # True ran one replicate, and 2.5 replicates failed inside range()
+    for name, bad in [
+        ("max_steps", 2.5),
+        ("max_steps", float("nan")),
+        ("max_steps", True),
+        ("replicates", True),
+        ("replicates", np.True_),
+        ("replicates", 2.5),
+        ("replicates", "3"),
+    ]:
+        with pytest.raises(TypeError, match=name):
+            SiConfig(lam=0.5, seeds=(0,), **{name: bad})
+    cfg = SiConfig(lam=0.5, seeds=(0,), replicates=np.int64(3), max_steps=np.uint8(4))
+    assert (cfg.replicates, cfg.max_steps) == (3, 4)
+    assert type(cfg.replicates) is int and type(cfg.max_steps) is int
     assert SiConfig(lam=0.5, seeds=(2, 0, 2)).seeds == (0, 2)
 
 
@@ -460,5 +478,13 @@ def test_star_center_and_leaf_expectations():
 
 
 def test_t_eval_must_be_positive(kite):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t_eval"):
         spreading_ability(kite, 0, 0.5, t_eval=0)
+    # 2.5 used to run 2 steps and read step 2's mean
+    for bad in [2.5, float("nan"), True, "2"]:
+        with pytest.raises(TypeError, match="t_eval"):
+            spreading_ability(kite, 0, 0.5, t_eval=bad)
+    numpy_int, plain = (
+        spreading_ability(kite, 0, 0.5, t_eval=t, replicates=5) for t in (np.int64(2), 2)
+    )
+    assert numpy_int == plain
