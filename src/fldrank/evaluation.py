@@ -22,7 +22,7 @@ from .centrality import (
 )
 from .fld import fuzzy_local_dimension
 from .graph import Graph
-from .si import _int_at_least, derive_seed, spreading_ability
+from .si import _int_at_least, _rate, derive_seed, spreading_ability
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,9 @@ def tau_sweep(
     the pairing. Each (rate, node) pair gets its own derived seed, so the
     sweep is deterministic end to end.
     """
-    grid = [float(l) for l in lambda_grid]
+    grid = [_rate("lambda_grid entry", l, above_zero=True) for l in lambda_grid]
     if not grid:
         raise ValueError("lambda grid must not be empty")
-    if any(not 0.0 < l <= 1.0 for l in grid):
-        raise ValueError("lambda values must lie in (0, 1]")
     keep = [i for i in range(g.node_count) if not sv.undefined[i]]
     if len(keep) < 2:
         raise ValueError("need at least two defined nodes")

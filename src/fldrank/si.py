@@ -14,13 +14,14 @@ and a row stops once it has infected the seeds' whole components, when no
 such contact is left. Replicate k draws one uniform per open contact, in
 contact order, from the stream of ``replicate_rng(rng_seed, k)``, so its
 trajectory does not depend on how many replicates run alongside it or on how
-they are batched. ``ReplicateStreams`` reproduces those streams bit for bit
-without building a Generator per replicate. ``replicate_counts`` returns
+they are batched. ``seed_words`` seeds all those streams in one vectorized
+hash pass and ``ReplicateStreams`` draws them. ``replicate_counts`` returns
 every replicate's infected counts as one table, and ``simulate`` averages it.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -35,10 +36,10 @@ from .graph import Graph, contact_ids, diameter
 # when larger): the temporaries stay O(E) whatever the replicate count.
 _CHUNK_CONTACTS = 2**14
 
-# Uniforms buffered per replicate row: an even share of 2**15 (256 KB) per
-# batch, at most 2**10 (so a one-row batch holds 8 KB, not 256 KB). At 100
-# replicates on karate most rows then fill once per simulation. A buffer
-# widens when one step of a row needs more than it holds.
+# Uniforms buffered per row of a multi-row batch: an even share of 2**15
+# (256 KB) per batch, at most 2**10 (8 KB). At 100 replicates on karate most
+# rows then fill once per simulation. A buffer widens when one step of a row
+# needs more than it holds. A one-row batch buffers nothing.
 _STREAM_BUFFER = 2**15
 _ROW_BUFFER = 2**10
 
@@ -56,6 +57,15 @@ def _int_at_least(name: str, value, low: int = 0) -> int:
     return value
 
 
+def _rate(name: str, value, above_zero: bool = False) -> float:
+    """``value`` as a float in [0, 1], or (0, 1] if above_zero: a bool or non-real fails."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not (0.0 < value <= 1.0 if above_zero else 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in {'(' if above_zero else '['}0, 1], got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SiConfig:
     """One spreading experiment: infection rate, seed set, replication."""
@@ -67,8 +77,7 @@ class SiConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
+        object.__setattr__(self, "lam", _rate("lam", self.lam))
         if not self.seeds:
             raise ValueError("seed set must not be empty")
         object.__setattr__(self, "replicates", _int_at_least("replicates", self.replicates, 1))
@@ -99,21 +108,19 @@ def lambda_from_beta(beta: float) -> float:
 def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
     """Independent, reproducible stream for one replicate.
 
-    The reference for ``pcg64_states`` and ``ReplicateStreams``, which
-    reproduce its draws without building a Generator per replicate.
+    The reference for ``seed_words`` and ``ReplicateStreams``, which seed
+    and draw the same streams in bulk.
     """
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))
     return np.random.default_rng(seq)
 
 
-# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
-# 128-bit LCG multiplier; NEP 19 keeps both, and so every stream, stable
+# numpy's SeedSequence hash constants (pool of 4 uint32 words); NEP 19 keeps
+# them, and PCG64's seeding from the hashed words, stable
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(value: int) -> list[int]:
@@ -175,66 +182,67 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-def pcg64_states(master_seed: int, replicates) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that ``replicate_rng(master_seed, k)`` starts from, per k.
+def seed_words(master_seed: int, replicates) -> np.ndarray:
+    """Row k is ``SeedSequence(master_seed, spawn_key=(k,)).generate_state(4, np.uint64)``.
 
-    One hash pass seeds every replicate index in ``replicates`` (each below
-    2**32, so one spawn-key word); PCG64 then takes its seed and increment
-    from the four uint64 state words and runs its two seeding LCG steps.
+    One hash pass covers every replicate index k in ``replicates``, each
+    below 2**32 (one spawn-key word).
     """
     keys = np.asarray(replicates, dtype=np.int64)
     if keys.size and not (0 <= keys.min() and keys.max() <= _MASK32):
         raise ValueError("replicate indices must lie in [0, 2**32)")
     words = np.stack(_seed_state(master_seed, keys.astype(np.uint32), 8), axis=1)
-    states = []
     # generate_state(4, np.uint64) reads the uint32 words little-endian
-    for s0, s1, i0, i1 in words.astype("<u4").view("<u8").tolist():
-        inc = (i0 << 64 | i1) << 1 & _MASK128 | 1
-        states.append(((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc & _MASK128, inc))
-    return states
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words:
+    """One row of ``seed_words`` as a PCG64's seed sequence, which PCG64 reads by raw pointer."""
+
+    def __init__(self, words: np.ndarray):
+        # registered, not subclassed: a subclass would load numpy.random (5 MB) on import
+        np.random.bit_generator.ISeedSequence.register(_Words)
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:  # the one request PCG64 makes
+            raise ValueError(f"seed words serve 4 uint64 words only, not {n_words} of {dtype}")
+        return np.ascontiguousarray(self._words, dtype=np.uint64)
 
 
 class ReplicateStreams:
-    """Uniform draws for a batch of replicate rows, row r continuing ``states[r]``.
+    """Uniform draws for a batch of replicate rows, row r on the PCG64 seeded by ``words[r]``.
 
-    Each row keeps its unread uniforms at the end of its buffer. One shared
-    PCG64, set to the row's (state, inc) and advanced past what the row has
-    drawn, refills it only when a step needs more than is left, so row r
-    yields exactly the doubles of the Generator it stands for, in order.
+    A row's Generator is built at its first draw. A one-row batch reads it
+    directly; in a wider batch each row keeps its unread uniforms at the end
+    of its buffer, which its Generator refills only when a step needs more.
     """
 
-    def __init__(self, states: list[tuple[int, int]]):
-        self._states = states
-        self._bits = np.random.PCG64(0)  # a row's state is set before its first draw
-        self._random = np.random.Generator(self._bits).random
-        width = min(_ROW_BUFFER, max(1, _STREAM_BUFFER // len(states)))
-        self._buf = np.empty((len(states), width))
-        self._pos = np.full(len(states), width, dtype=np.intp)  # every row starts empty
-        self._drawn = [0] * len(states)
+    def __init__(self, words: np.ndarray):
+        self._words = words
+        self._rngs: list[np.random.Generator | None] = [None] * len(words)
+        width = min(_ROW_BUFFER, _STREAM_BUFFER // len(words)) if len(words) > 1 else 0
+        self._buf = np.empty((len(words), width))
+        self._pos = np.full(len(words), width, dtype=np.intp)  # every row starts empty
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._rngs)
+
+    def _rng(self, row: int) -> np.random.Generator:
+        if self._rngs[row] is None:
+            self._rngs[row] = np.random.Generator(np.random.PCG64(_Words(self._words[row])))
+        return self._rngs[row]
 
     def draw(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The next ``counts[i]`` uniforms of each row ``rows[i]``, concatenated in that order."""
+        if len(self) == 1:
+            return self._rng(0).random(counts.item())
+        short = self._pos[rows] + counts > self._buf.shape[1]
+        for row, need in zip(rows[short].tolist(), counts[short].tolist()):
+            self._refill(row, need)
         width = self._buf.shape[1]
-        if rows.size == 1:  # a lone row's draws are one slice of its buffer
-            row, count = rows.item(), counts.item()
-            if self._pos[row] + count > width:
-                self._refill(row, count)
-            start = self._pos[row]
-            self._pos[row] = start + count
-            return self._buf[row, start : start + count]
         start = self._pos[rows]
-        end = start + counts
-        short = end > width
-        if short.any():
-            for row, need in zip(rows[short].tolist(), counts[short].tolist()):
-                self._refill(row, need)
-            width = self._buf.shape[1]
-            start = self._pos[rows]
-            end = start + counts
-        self._pos[rows] = end
+        self._pos[rows] = start + counts
         offsets = np.cumsum(counts) - counts
         cells = np.repeat(rows * width + start - offsets, counts)
         return self._buf.ravel()[cells + np.arange(cells.size)]
@@ -251,17 +259,7 @@ class ReplicateStreams:
         left = buf.size - int(self._pos[row])
         if left:
             buf[:left] = buf[-left:]
-        state, inc = self._states[row]
-        self._bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        if self._drawn[row]:
-            self._bits.advance(self._drawn[row])
-        self._random(out=buf[left:])
-        self._drawn[row] += buf.size - left
+        self._rng(row).random(out=buf[left:])
         self._pos[row] = 0
 
 
@@ -355,11 +353,10 @@ def replicate_counts(g: Graph, cfg: SiConfig) -> np.ndarray:
         components.component_sizes[c] for c in {components.component_id[s] for s in cfg.seeds}
     )
     chunk = max(1, _CHUNK_CONTACTS // max(g.edge_arrays[1].size, g.node_count))
-    states = pcg64_states(cfg.rng_seed, range(cfg.replicates))
-    batches = [states[first : first + chunk] for first in range(0, cfg.replicates, chunk)]
+    words = seed_words(cfg.rng_seed, range(cfg.replicates))
     parts = [
-        _run_chunk(g, cfg.seeds, cfg.lam, max_steps, ReplicateStreams(batch), reach)
-        for batch in batches
+        _run_chunk(g, cfg.seeds, cfg.lam, max_steps, ReplicateStreams(words[i : i + chunk]), reach)
+        for i in range(0, cfg.replicates, chunk)
     ]
     # pad every batch to the longest run by carrying its terminal counts
     length = max(part.shape[1] for part in parts)

@@ -197,6 +197,10 @@ def test_sweep_validates_arguments(kite):
         tau_sweep(kite, sv, [0.0])
     with pytest.raises(ValueError):
         tau_sweep(kite, sv, [1.5])
+    # True used to run at rate 1.0 and "0.5" at 0.5
+    for bad in [True, np.True_, "0.5", None]:
+        with pytest.raises(TypeError, match="lambda_grid"):
+            tau_sweep(kite, sv, [0.5, bad], t_eval=2, replicates=2)
 
 
 @pytest.mark.parametrize(
