@@ -21,7 +21,7 @@ from . import __version__
 from .centrality import Measure, PowerIterationError, rank_nodes
 from .evaluation import compute_measure, tau_sweep, top_k_overlap
 from .graph import Graph, parse_edge_list
-from .si import SiConfig, lambda_from_beta, simulate
+from .si import SiConfig, _int_at_least, _real_in, lambda_from_beta, simulate
 
 # Longest --lambda-range grid accepted (the paper's grid has 10 rates).
 _MAX_RATES = 1000
@@ -50,53 +50,33 @@ def _render(columns: tuple[str, ...], rows, output: str) -> str:
     return "\n".join([",".join(columns), *(",".join(row) for row in cells)]) + "\n"
 
 
-def _int_at_least(raw: str, low: int, condition: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be {condition}, got {value}")
-    return value
+def _usage(parse):
+    """``parse`` as an argparse type: its TypeError or ValueError is a usage error (exit 2)."""
+
+    def parse_or_usage_error(raw: str):
+        try:
+            return parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_or_usage_error
 
 
-def _positive_int(raw: str) -> int:
-    return _int_at_least(raw, 1, "positive")
-
-
-def _non_negative_int(raw: str) -> int:
-    return _int_at_least(raw, 0, "non-negative")
-
-
-def _float_in(raw: str, low: float, high: float, condition: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
-    if not low <= value <= high:  # NaN fails every comparison
-        raise argparse.ArgumentTypeError(f"must be {condition}, got {value}")
-    return value
-
-
-def _rate(raw: str) -> float:
-    return _float_in(raw, 0.0, 1.0, "in [0, 1]")
-
-
-def _beta(raw: str) -> float:
-    return _float_in(raw, 0.0, math.inf, "non-negative")
+# the library's own rules, applied to the raw text before any input is read
+_positive_int = _usage(lambda raw: _int_at_least("value", int(raw), 1))
+_non_negative_int = _usage(lambda raw: _int_at_least("value", int(raw)))
+_rate = _usage(lambda raw: _real_in("value", float(raw), 0.0, 1.0))
+_beta = _usage(lambda raw: _real_in("value", float(raw), 0.0, math.inf))
 
 
 def _parse_measure(name: str) -> Measure:
-    try:
-        return Measure(name.lower())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown measure {name!r}") from None
+    return Measure(name.lower())  # an unknown name raises a ValueError that quotes it
 
 
 def _parse_measures(raw: str) -> list[Measure]:
     measures = [_parse_measure(tok) for tok in raw.split(",") if tok]
     if not measures:
-        raise argparse.ArgumentTypeError(f"expected at least one measure, got {raw!r}")
+        raise ValueError(f"expected at least one measure, got {raw!r}")
     return measures
 
 
@@ -104,25 +84,23 @@ def _parse_lambda_range(raw: str) -> list[float]:
     try:
         start, stop, step = (float(tok) for tok in raw.split(":"))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected start:stop:step, got {raw!r}"
-        ) from None
+        raise ValueError(f"expected start:stop:step, got {raw!r}") from None
     if not all(map(math.isfinite, (start, stop, step))):
-        raise argparse.ArgumentTypeError(f"expected finite start:stop:step, got {raw!r}")
+        raise ValueError(f"expected finite start:stop:step, got {raw!r}")
     if step <= 0 or start > stop:
-        raise argparse.ArgumentTypeError("need step > 0 and start <= stop")
+        raise ValueError("need step > 0 and start <= stop")
     values = []
     while True:
         value = round(start + len(values) * step, 10)
         if value > stop + 1e-9:
             break
         if len(values) == _MAX_RATES:
-            raise argparse.ArgumentTypeError(f"at most {_MAX_RATES} rates, got {raw!r}")
+            raise ValueError(f"at most {_MAX_RATES} rates, got {raw!r}")
         values.append(value)
-    if not 0 < values[0] <= values[-1] <= 1:
-        raise argparse.ArgumentTypeError(f"rates must lie in (0, 1], got {raw!r}")
+    for value in (values[0], values[-1]):  # the grid ascends
+        _real_in("rate", value, 0.0, 1.0, above_low=True)
     if len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"rates repeat once rounded to 10 decimals, got {raw!r}")
+        raise ValueError(f"rates repeat once rounded to 10 decimals, got {raw!r}")
     return values
 
 
@@ -230,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="score and rank all nodes with one measure")
     common(p_rank)
-    p_rank.add_argument("--measure", type=_parse_measure, required=True)
+    p_rank.add_argument("--measure", type=_usage(_parse_measure), required=True)
     p_rank.set_defaults(func=cmd_rank)
 
     p_si = sub.add_parser("si", help="simulate spreading from a seed set")
@@ -238,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeds = p_si.add_mutually_exclusive_group(required=True)
     seeds.add_argument("--seeds", help="comma-separated node labels")
     seeds.add_argument("--top", type=_positive_int, help="seed the top-k nodes of --measure")
-    p_si.add_argument("--measure", type=_parse_measure, default=None)
+    p_si.add_argument("--measure", type=_usage(_parse_measure), default=None)
     rate = p_si.add_mutually_exclusive_group(required=True)
     rate.add_argument("--beta", type=_beta, help="infection rate (1/2)**beta")
     rate.add_argument("--lambda", dest="lam", type=_rate, help="infection rate directly")
@@ -249,10 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tau = sub.add_parser("tau", help="rank correlation against spreading ability")
     common(p_tau)
-    p_tau.add_argument("--measure", type=_parse_measure, required=True)
-    p_tau.add_argument(
-        "--lambda-range", type=_parse_lambda_range, default=_parse_lambda_range("0.01:0.1:0.01")
-    )
+    p_tau.add_argument("--measure", type=_usage(_parse_measure), required=True)
+    p_tau.add_argument("--lambda-range", type=_usage(_parse_lambda_range), default="0.01:0.1:0.01")
     p_tau.add_argument("--t-eval", type=_positive_int, default=10)
     p_tau.add_argument("--replicates", type=_positive_int, default=100)
     p_tau.add_argument("--rng-seed", type=_non_negative_int, default=0)
@@ -260,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="pairwise top-k overlap between measures")
     common(p_cmp)
-    p_cmp.add_argument(
-        "--measures", type=_parse_measures, default=list(Measure)
-    )
+    p_cmp.add_argument("--measures", type=_usage(_parse_measures), default=list(Measure))
     p_cmp.add_argument("--k", type=_positive_int, default=10)
     p_cmp.set_defaults(func=cmd_compare)
 

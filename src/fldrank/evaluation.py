@@ -22,7 +22,7 @@ from .centrality import (
 )
 from .fld import fuzzy_local_dimension
 from .graph import Graph
-from .si import _int_at_least, _rate, derive_seed, spreading_ability
+from .si import _int_at_least, _real_in, derive_seed, spreading_ability
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def kendall_tau(p: PairedSequence) -> TauResult:
 
 def top_k_overlap(a: RankingList, b: RankingList, k: int) -> int:
     """Size of the intersection of the two top-k label sets."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    k = _int_at_least("k", k, 1)
     if k > len(a.labels) or k > len(b.labels):
         raise ValueError("k exceeds ranking length")
     return len(set(a.top(k)) & set(b.top(k)))
@@ -114,9 +113,11 @@ def tau_sweep(
     the pairing. Each (rate, node) pair gets its own derived seed, so the
     sweep is deterministic end to end.
     """
-    grid = [_rate("lambda_grid entry", l, above_zero=True) for l in lambda_grid]
+    grid = [_real_in("lambda_grid entry", l, 0.0, 1.0, above_low=True) for l in lambda_grid]
     if not grid:
         raise ValueError("lambda grid must not be empty")
+    if len(sv.scores) != g.node_count:
+        raise ValueError(f"score count {len(sv.scores)} does not match node count {g.node_count}")
     keep = [i for i in range(g.node_count) if not sv.undefined[i]]
     if len(keep) < 2:
         raise ValueError("need at least two defined nodes")

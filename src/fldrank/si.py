@@ -57,12 +57,13 @@ def _int_at_least(name: str, value, low: int = 0) -> int:
     return value
 
 
-def _rate(name: str, value, above_zero: bool = False) -> float:
-    """``value`` as a float in [0, 1], or (0, 1] if above_zero: a bool or non-real fails."""
+def _real_in(name: str, value, low: float, high: float, above_low: bool = False) -> float:
+    """A real ``value``, not a bool, as a float in [low, high], or (low, high] if above_low."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not (0.0 < value <= 1.0 if above_zero else 0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in {'(' if above_zero else '['}0, 1], got {value}")
+    if not (low < value <= high if above_low else low <= value <= high):  # NaN fails both
+        bracket = "(" if above_low else "["
+        raise ValueError(f"{name} must lie in {bracket}{low:g}, {high:g}], got {value}")
     return float(value)
 
 
@@ -77,14 +78,14 @@ class SiConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _rate("lam", self.lam))
-        if not self.seeds:
-            raise ValueError("seed set must not be empty")
+        object.__setattr__(self, "lam", _real_in("lam", self.lam, 0.0, 1.0))
         object.__setattr__(self, "replicates", _int_at_least("replicates", self.replicates, 1))
         if self.max_steps is not None:
             object.__setattr__(self, "max_steps", _int_at_least("max_steps", self.max_steps))
         object.__setattr__(self, "rng_seed", _int_at_least("rng_seed", self.rng_seed))
         seeds = {_int_at_least("seeds entry", s) for s in self.seeds}
+        if not seeds:  # after conversion: the truth of a numpy array is ambiguous
+            raise ValueError("seed set must not be empty")
         object.__setattr__(self, "seeds", tuple(sorted(seeds)))
 
 
@@ -101,8 +102,8 @@ class TrajectoryEnsemble:
 
 
 def lambda_from_beta(beta: float) -> float:
-    """Spreading rate (1/2)**beta."""
-    return 0.5 ** beta
+    """Spreading rate (1/2)**beta, for beta in [0, inf] (inf is rate 0)."""
+    return 0.5 ** _real_in("beta", beta, 0.0, np.inf)
 
 
 def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:

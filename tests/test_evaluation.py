@@ -164,6 +164,11 @@ def test_overlap_argument_errors(kite):
         top_k_overlap(ranking, ranking, 0)
     with pytest.raises(ValueError):
         top_k_overlap(ranking, ranking, 11)
+    # True used to run as k = 1, and 2.5 failed inside the slice without naming k
+    for bad in [True, np.True_, 2.5]:
+        with pytest.raises(TypeError, match="^k must be an integer"):
+            top_k_overlap(ranking, ranking, bad)
+    assert top_k_overlap(ranking, ranking, np.int64(3)) == 3
 
 
 # --- orientation ------------------------------------------------------------
@@ -201,6 +206,15 @@ def test_sweep_validates_arguments(kite):
     for bad in [True, np.True_, "0.5", None]:
         with pytest.raises(TypeError, match="lambda_grid"):
             tau_sweep(kite, sv, [0.5, bad], t_eval=2, replicates=2)
+
+
+def test_sweep_rejects_scores_of_another_graph(kite, karate):
+    # karate's scores on kite used to pair its first ten scores with kite's
+    # nodes; kite's scores on karate raised a bare IndexError
+    for g, other in [(kite, karate), (karate, kite)]:
+        sv = compute_measure(other, "dc")
+        with pytest.raises(ValueError, match=f"score count {other.node_count} .* {g.node_count}"):
+            tau_sweep(g, sv, [0.5], replicates=2)
 
 
 @pytest.mark.parametrize(

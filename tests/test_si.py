@@ -96,7 +96,7 @@ def test_config_validation():
         SiConfig(lam=-0.1, seeds=(0,))
     with pytest.raises(ValueError):
         SiConfig(lam=1.1, seeds=(0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed set"):
         SiConfig(lam=0.5, seeds=())
     with pytest.raises(ValueError):
         SiConfig(lam=0.5, seeds=(0,), replicates=0)
@@ -127,6 +127,10 @@ def test_config_validation():
     assert type(cfg.lam) is float
     assert type(cfg.replicates) is int and type(cfg.max_steps) is int
     assert SiConfig(lam=0.5, seeds=(2, 0, 2)).seeds == (0, 2)
+    # a seed array of two or more nodes used to fail on its ambiguous truth value
+    assert SiConfig(lam=0.5, seeds=np.array([3, 1, 3])).seeds == (1, 3)
+    with pytest.raises(ValueError, match="seed set"):
+        SiConfig(lam=0.5, seeds=np.array([], dtype=np.int64))
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, np.True_, "3", None])
@@ -170,6 +174,14 @@ def test_simulate_rejects_out_of_range_seed(kite):
 def test_lambda_from_beta():
     assert lambda_from_beta(3) == 0.125
     assert lambda_from_beta(1) == 0.5
+    assert lambda_from_beta(float("inf")) == 0.0
+    # -1 used to give rate 2.0, True rate 0.5, and "3" failed without naming beta
+    for bad in [-1, float("nan")]:
+        with pytest.raises(ValueError, match="beta"):
+            lambda_from_beta(bad)
+    for bad in [True, "3"]:
+        with pytest.raises(TypeError, match="beta"):
+            lambda_from_beta(bad)
 
 
 def test_trajectory_monotone_and_bounded(karate):
