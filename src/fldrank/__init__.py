@@ -12,13 +12,13 @@ from .centrality import (
     PowerIterationError,
     RankingList,
     ScoreVector,
-    SortDirection,
     betweenness_centrality,
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
     local_dimension,
     ols_slope,
+    oriented_scores,
     rank_nodes,
     shortest_path_counts,
 )
@@ -27,7 +27,6 @@ from .evaluation import (
     TauResult,
     compute_measure,
     kendall_tau,
-    oriented_scores,
     tau_sweep,
     top_k_overlap,
 )

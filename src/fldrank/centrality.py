@@ -1,8 +1,9 @@
 """Baseline node-importance measures and ranking machinery.
 
 Degree, closeness, betweenness, eigenvector and local dimension, each
-returned as a ScoreVector that knows which end of the scale means "most
-influential". All operations are pure functions of the immutable graph.
+returned as a ScoreVector; ``oriented_scores`` holds the one rule for which
+end of a measure's scale means "most influential". All operations are pure
+functions of the immutable graph.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ _LANCZOS_STEPS = 64
 _EC_RESTARTS = 2_000
 
 
-class SortDirection(Enum):
-    DESCENDING = "descending"
-    ASCENDING = "ascending"
-
-
 class Measure(Enum):
     DC = "dc"
     CC = "cc"
@@ -44,14 +40,6 @@ class Measure(Enum):
     EC = "ec"
     LD = "ld"
     FLD = "fld"
-
-    @property
-    def direction(self) -> SortDirection:
-        # Local dimension is the one measure where smaller means more
-        # influential; everything else ranks by descending score.
-        if self is Measure.LD:
-            return SortDirection.ASCENDING
-        return SortDirection.DESCENDING
 
 
 class PowerIterationError(RuntimeError):
@@ -79,6 +67,15 @@ class ScoreVector:
         defined = self.scores[~self.undefined]
         if defined.size and not np.all(np.isfinite(defined)):
             raise ValueError("defined scores must be finite")
+
+
+def oriented_scores(sv: ScoreVector) -> np.ndarray:
+    """Scores flipped so that larger always means more influential.
+
+    Only local dimension ranks ascending: a hub's ball is already large at
+    radius 1, so it grows by a smaller power of the radius.
+    """
+    return -sv.scores if sv.measure is Measure.LD else sv.scores.copy()
 
 
 @dataclass(frozen=True)
@@ -111,18 +108,16 @@ def rank_nodes(sv: ScoreVector, labels: tuple[str, ...]) -> RankingList:
     """Deterministic ranking of all nodes from a score vector."""
     if len(labels) != len(sv.scores):
         raise ValueError("label count does not match score count")
-    defined = [i for i in range(len(labels)) if not sv.undefined[i]]
-    missing = [i for i in range(len(labels)) if sv.undefined[i]]
-    defined.sort(key=lambda i: label_sort_key(labels[i]))
-    descending = sv.measure.direction is SortDirection.DESCENDING
-    defined.sort(key=lambda i: sv.scores[i], reverse=descending)
-    missing.sort(key=lambda i: label_sort_key(labels[i]))
-    order = defined + missing
+    undefined = sv.undefined.tolist()
+    # undefined nodes last; -0.0 == 0.0, so signed zeros tie and fall back to labels
+    negated = np.where(sv.undefined, 0.0, -oriented_scores(sv)).tolist()
+    keys = list(zip(undefined, negated, map(label_sort_key, labels)))
+    order = sorted(range(len(labels)), key=keys.__getitem__)
     return RankingList(
         measure=sv.measure,
         labels=tuple(labels[i] for i in order),
         scores=tuple(float(sv.scores[i]) for i in order),
-        undefined=tuple(bool(sv.undefined[i]) for i in order),
+        undefined=tuple(undefined[i] for i in order),
     )
 
 
@@ -198,24 +193,27 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     offsets, targets = g.edge_arrays
     width = max(1, min(n, _BLOCK_CONTACTS // max(targets.size, n, 1)))
     degrees = np.diff(offsets)
-    # contact c of source row b, at b * E + c: the cells of its two ends
-    rows = np.arange(width)[:, None] * n
-    heads = (rows + targets).ravel()
-    tails = (rows + np.repeat(np.arange(n), degrees)).ravel()
+    # width disjoint copies of the graph, one per source row b: cell b * n + v
+    # is node v, and contact c of copy b is b * E + c
+    rows = np.arange(width)[:, None]
+    copies = np.append((rows * targets.size + offsets[:-1]).ravel(), width * targets.size)
+    heads = (rows * n + targets).ravel()
+    tails = (rows * n + np.repeat(np.arange(n), degrees)).ravel()
     # a node gathers from at most max-degree DAG neighbors: their counts below this sum below 2**63
     limit = _INT64_LIMIT // max(1, int(degrees.max(initial=0)))
     numerators = np.zeros(n, dtype=object)
     denominator = 0
     for first in range(0, n, width):
         sources = np.arange(first, min(first + width, n))
-        part, share = _block_path_counts(offsets, heads, tails, limit, sources)
+        part, share = _block_path_counts(n, copies, heads, tails, limit, sources)
         numerators += part.astype(object)
         denominator += share
     return numerators.tolist(), denominator
 
 
 def _block_path_counts(
-    offsets: np.ndarray,
+    n: int,
+    copies: np.ndarray,
     heads: np.ndarray,
     tails: np.ndarray,
     limit: int,
@@ -223,7 +221,8 @@ def _block_path_counts(
 ) -> tuple[np.ndarray, int]:
     """Numerator parts and denominator share of a block of sources.
 
-    Cell ``b * n + v`` holds node v as seen from ``sources[b]``. The forward
+    Cell ``b * n + v`` holds node v as seen from ``sources[b]``, in copy b of
+    the graph (CSR ``copies``, contact ends ``heads`` and ``tails``). The forward
     sweep expands only the frontier cells' contacts and keeps those that
     reach unseen cells: they are that level's shortest-path DAG edges, along
     which sigma flows. The backward sweep replays them in reverse to sum
@@ -231,7 +230,6 @@ def _block_path_counts(
     counts could reach 2**63 (a count so far of ``limit`` - 1 or more), the
     downstream counts turn to Python ints, and sigma is recounted on them.
     """
-    n = offsets.size - 1
     width = sources.size
     cells = np.arange(width) * n + sources
     unseen = np.ones(width * n, dtype=bool)
@@ -242,8 +240,7 @@ def _block_path_counts(
     dag: list[tuple[np.ndarray, np.ndarray]] = []
     frontier = cells
     while frontier.size:
-        row, nodes = np.divmod(frontier, n)
-        contacts, _ = contact_ids(offsets, nodes, row * offsets[-1])
+        contacts, _ = contact_ids(copies, frontier)
         head = heads[contacts]
         fresh = np.flatnonzero(unseen[head])
         head, tail = head[fresh], tails[contacts[fresh]]

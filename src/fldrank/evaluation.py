@@ -7,18 +7,16 @@ from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .centrality import (
     Measure,
     RankingList,
     ScoreVector,
-    SortDirection,
     betweenness_centrality,
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
     local_dimension,
+    oriented_scores,
 )
 from .fld import fuzzy_local_dimension
 from .graph import Graph
@@ -86,13 +84,6 @@ def top_k_overlap(a: RankingList, b: RankingList, k: int) -> int:
     if k > len(a.labels) or k > len(b.labels):
         raise ValueError("k exceeds ranking length")
     return len(set(a.top(k)) & set(b.top(k)))
-
-
-def oriented_scores(sv: ScoreVector) -> np.ndarray:
-    """Scores flipped so that larger always means more influential."""
-    if sv.measure.direction is SortDirection.ASCENDING:
-        return -sv.scores
-    return sv.scores.copy()
 
 
 def tau_sweep(

@@ -268,21 +268,17 @@ def _word_block_shells(
     return block
 
 
-def contact_ids(
-    offsets: np.ndarray, nodes: np.ndarray, shift: np.ndarray | int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def contact_ids(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Contact IDs of ``nodes``, node by node in adjacency order, and their degrees.
 
     ``offsets`` is the first array of ``Graph.edge_arrays``; the IDs index
     its second, so node ``nodes[i]`` owns ``degrees[i]`` consecutive IDs.
-    ``shift`` is added to each node's IDs, which lets a caller address
-    several copies of the contact arrays laid end to end.
     """
     first = offsets[nodes]
     degrees = offsets[nodes + 1] - first
     ends = np.cumsum(degrees)
     # contact IDs, node by node: first, first + 1, ..., first + degree - 1
-    contacts = np.repeat(shift + first - ends + degrees, degrees)
+    contacts = np.repeat(first - ends + degrees, degrees)
     contacts += np.arange(contacts.size)
     return contacts, degrees
 

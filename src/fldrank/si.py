@@ -83,6 +83,8 @@ class SiConfig:
         if self.max_steps is not None:
             object.__setattr__(self, "max_steps", _int_at_least("max_steps", self.max_steps))
         object.__setattr__(self, "rng_seed", _int_at_least("rng_seed", self.rng_seed))
+        if not np.iterable(self.seeds):
+            raise TypeError(f"seeds must be an iterable of node ids, got {self.seeds!r}")
         seeds = {_int_at_least("seeds entry", s) for s in self.seeds}
         if not seeds:  # after conversion: the truth of a numpy array is ambiguous
             raise ValueError("seed set must not be empty")

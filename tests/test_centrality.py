@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from fldrank import (
     Measure,
     PowerIterationError,
     ScoreVector,
-    SortDirection,
     betweenness_centrality,
     closeness_centrality,
     compute_measure,
@@ -37,6 +37,7 @@ from fldrank import (
     fuzzy_local_dimension,
     local_dimension,
     ols_slope,
+    oriented_scores,
     rank_nodes,
     shortest_path_counts,
 )
@@ -415,9 +416,14 @@ def test_local_dimension_karate_rank1(karate):
 
 
 def test_local_dimension_sorts_ascending():
-    assert Measure.LD.direction is SortDirection.ASCENDING
-    for m in (Measure.DC, Measure.CC, Measure.BC, Measure.EC, Measure.FLD):
-        assert m.direction is SortDirection.DESCENDING
+    # oriented_scores is the one rule for a measure's direction: it negates
+    # ld alone, and always returns a fresh array
+    scores = np.array([3.0, -1.0, 0.5, 0.0, -0.0])
+    for m in Measure:
+        sv = ScoreVector(m, scores, np.zeros(scores.size, bool))
+        oriented = oriented_scores(sv)
+        assert np.array_equal(oriented, -scores if m is Measure.LD else scores), m
+        assert not np.shares_memory(oriented, sv.scores), m
 
 
 # --- regression helper ----------------------------------------------------
@@ -587,3 +593,41 @@ def test_rank_length_mismatch_rejected(kite):
     sv = degree_centrality(kite)
     with pytest.raises(ValueError):
         rank_nodes(sv, kite.node_labels[:-1])
+
+
+def reference_order(measure, scores, undefined, labels) -> list[int]:
+    """The RankingList rule, written from its docstring with a comparator."""
+    label_key = [centrality.label_sort_key(label) for label in labels]
+
+    def before(i, j):
+        if scores[i] != scores[j]:  # -0.0 == 0.0: signed zeros tie
+            smaller_first = measure is Measure.LD
+            return -1 if (scores[i] < scores[j]) == smaller_first else 1
+        return -1 if label_key[i] < label_key[j] else 1
+
+    defined = sorted((i for i in range(len(labels)) if not undefined[i]), key=cmp_to_key(before))
+    missing = sorted((i for i in range(len(labels)) if undefined[i]), key=label_key.__getitem__)
+    return defined + missing
+
+
+LABELS = st.one_of(
+    st.integers(-30, 30).map(str),  # decimal labels compare as integers
+    st.text(alphabet="ab0²-", min_size=1, max_size=3),  # '²' is a digit but not decimal
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure=st.sampled_from(list(Measure)), data=st.data())
+def test_rank_nodes_matches_the_ranking_rule(measure, data):
+    labels = data.draw(st.lists(LABELS, max_size=12, unique=True))
+    n = len(labels)
+    # few distinct values, so ties and signed zeros are common
+    score = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(-1e3, 1e3)
+    undefined = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # an undefined node's score is a sentinel, which may be anything
+    scores = [data.draw(st.floats() if flag else score) for flag in undefined]
+    ranking = rank_nodes(ScoreVector(measure, scores, undefined), tuple(labels))
+    order = reference_order(measure, scores, undefined, labels)
+    assert ranking.labels == tuple(labels[i] for i in order)
+    assert ranking.undefined == tuple(undefined[i] for i in order)
+    assert np.array_equal(ranking.scores, [scores[i] for i in order], equal_nan=True)

@@ -137,6 +137,16 @@ def test_malformed_input_names_line(tmp_path, capsys):
         assert message in err
 
 
+def test_non_utf8_input_is_one_clean_error_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.edges"
+    bad.write_bytes(b"\xffa b\n")
+    code, out, err = run(capsys, ["rank", "--input", str(bad), "--measure", "dc"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_si_wavefront(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main(

@@ -119,6 +119,9 @@ def test_config_validation():
         ("replicates", np.True_),
         ("replicates", 2.5),
         ("replicates", "3"),
+        # a seed set that is not iterable failed inside the set comprehension
+        ("seeds", 5),
+        ("seeds", None),
     ]:
         with pytest.raises(TypeError, match=name):
             SiConfig(**{"lam": 0.5, "seeds": (0,), name: bad})
