@@ -32,7 +32,6 @@ from .evaluation import (
 )
 from .fld import (
     FuzzyCountSeries,
-    fuzzy_count,
     fuzzy_count_series,
     fuzzy_local_dimension,
     membership,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .centrality import Measure, ScoreVector, _log_log_slopes
 from .graph import Graph
@@ -42,37 +43,25 @@ class FuzzyCountSeries:
     real_counts: tuple[int, ...]
 
 
-def fuzzy_count(shell_counts: tuple[int, ...], r: int) -> tuple[float, int]:
-    """Average membership over the nodes within hop distance r of the center.
+def fuzzy_count_series(shell_counts: tuple[int, ...]) -> FuzzyCountSeries:
+    """Fuzzy and real node counts for every radius the center can see (1..d_max).
 
     ``shell_counts[d]`` is the number of nodes at hop distance d from the
-    center. The center itself (distance 0, weight 1) is included in both
-    the sum and the divisor, and the box size is the radius. Returns
-    ``(fuzzy count, real count)``. Weights are accumulated shell by shell so
-    the result is bit-identical under any node relabeling.
+    center. At radius r the box size is r, and the fuzzy count is the
+    membership summed over the nodes within r, divided by their real count;
+    the center (distance 0, weight 1) is in both. Weights are summed shell
+    by shell, left to right, so the result is bit-identical under any node
+    relabeling.
     """
-    d_max = len(shell_counts) - 1
-    if not 1 <= r <= d_max:
-        raise ValueError(f"radius {r} outside 1..{d_max}")
-    total = 0.0
-    count = 0
-    for shell_r in range(r + 1):
-        shell = shell_counts[shell_r]
-        total += shell * membership(shell_r, r)
-        count += shell
-    return total / count, count
-
-
-def fuzzy_count_series(shell_counts: tuple[int, ...]) -> FuzzyCountSeries:
-    """Fuzzy counts for every radius the center can see (1..d_max)."""
     radii = tuple(range(1, len(shell_counts)))
+    reals = tuple(accumulate(shell_counts))[1:]
     counts: list[float] = []
-    reals: list[int] = []
-    for r in radii:
-        c, real = fuzzy_count(shell_counts, r)
-        counts.append(c)
-        reals.append(real)
-    return FuzzyCountSeries(radii, tuple(counts), tuple(reals))
+    for r, real in zip(radii, reals):
+        total = 0.0
+        for d in range(r + 1):
+            total += shell_counts[d] * membership(d, r)
+        counts.append(total / real)
+    return FuzzyCountSeries(radii, tuple(counts), reals)
 
 
 def fuzzy_local_dimension(g: Graph) -> ScoreVector:

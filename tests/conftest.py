@@ -8,6 +8,7 @@ check.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,11 @@ def ladder_graph(rungs: int) -> Graph:
     for i in range(rungs - 1):
         edges += [(f"a{i}", f"a{i + 1}"), (f"b{i}", f"b{i + 1}")]
     return Graph.build(edges)
+
+
+def binary_tree_graph(n: int) -> Graph:
+    """Nodes 0..n-1, node i the parent of 2i + 1 and 2i + 2."""
+    return Graph.build([(str((i - 1) // 2), str(i)) for i in range(1, n)])
 
 
 def barabasi_albert_graph(n: int, m: int, seed: int) -> Graph:
@@ -306,6 +312,20 @@ def oracle_ability(
         f = oracle_trajectory(g, (node,), lam, t_eval, replicate_rng(rng_seed, k)).f
         values.append(f[min(t_eval, len(f) - 1)])
     return float(np.mean(np.asarray(values, dtype=np.float64)))
+
+
+def oracle_tree_mean(shells, t: int, lam: float) -> float:
+    """Exact mean SI count at step t from one seed on a tree; a lower bound on any graph.
+
+    ``shells[d]`` counts the nodes at hop distance d from the seed. Each
+    contact transmits after a Geometric(lam) delay, so a node at distance d
+    on a tree is infected by step t exactly when at least d of t
+    Bernoulli(lam) trials succeed: the mean is the sum over d of
+    shells[d] * P(Binomial(t, lam) >= d). Off trees a node is never infected
+    later than along one of its shortest paths, so the sum is a lower bound.
+    """
+    pmf = [math.comb(t, k) * lam**k * (1 - lam) ** (t - k) for k in range(t + 1)]
+    return sum(shell * sum(pmf[d:]) for d, shell in enumerate(shells))
 
 
 def coupled_infected_sets(

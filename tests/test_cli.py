@@ -226,6 +226,14 @@ def test_si_top_seeds_require_measure(capsys, tmp_path):
     assert "--top requires --measure" in capsys.readouterr().err
 
 
+def test_si_top_beyond_node_count_names_both(capsys):
+    argv = ["si", "--input", str(kite_path()), "--top", "11", "--measure", "dc", "--lambda", "0.5"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --top 11 exceeds node count 10\n"
+
+
 def test_si_top_seeds_from_measure(tmp_path):
     out = tmp_path / "t.csv"
     code = main(
@@ -334,6 +342,9 @@ def test_negative_seeds_and_step_caps_are_usage_errors(argv, capsys, tmp_path):
         (["tau", "--measure", "dc", "--lambda-range", "0.0005:1:0.0005"], "at most 1000 rates"),
         # 105 rates, of which only 11 differ once rounded to 10 decimals
         (["tau", "--measure", "dc", "--lambda-range", "0.1:0.1:1e-11"], "rates repeat"),
+        (["tau", "--measure", "dc", "--lambda-range", "0.1:0.5:0"], "need step > 0"),
+        (["tau", "--measure", "dc", "--lambda-range", "0.1:0.5:-0.1"], "need step > 0"),
+        (["tau", "--measure", "dc", "--lambda-range", "0.5:0.1:0.1"], "start <= stop"),
     ],
 )
 def test_bad_rates_are_usage_errors(argv, message, capsys, tmp_path):

@@ -232,6 +232,14 @@ def test_sweep_runs_a_numpy_integer_seed_as_the_equal_int(kite):
     assert runs[0] == runs[1]
 
 
+def test_sweep_needs_two_defined_nodes():
+    g = Graph.build([("a", "b")])
+    sv = local_dimension(g)  # no node sees two radii
+    assert sv.undefined.all()
+    with pytest.raises(ValueError, match="two defined nodes"):
+        tau_sweep(g, sv, [0.5], t_eval=2, replicates=2)
+
+
 def test_sweep_excludes_undefined_nodes():
     g = Graph.build([("a", "b"), ("b", "c")], nodes=["x"])
     sv = compute_measure(g, "cc")

@@ -10,7 +10,6 @@ from fldrank import (
     Graph,
     bfs_distances,
     connected_components,
-    fuzzy_count,
     fuzzy_count_series,
     fuzzy_local_dimension,
     membership,
@@ -66,19 +65,11 @@ def test_membership_monotonic(d, eps):
 
 
 def test_fuzzy_counts_around_kite_center(kite):
-    shells = kite.shell_counts[kite.label_to_id["7"]]
+    series = fuzzy_count_series(kite.shell_counts[kite.label_to_id["7"]])
     expected = {1: (0.4582, 7), 2: (0.7551, 8), 3: (0.8198, 9), 4: (0.8353, 10)}
     for r, (value, real) in expected.items():
-        fuzzy, count = fuzzy_count(shells, r)
-        assert fuzzy == pytest.approx(value, abs=1e-4)
-        assert count == real
-
-
-def test_fuzzy_count_rejects_radius_out_of_range(kite):
-    shells = kite.shell_counts[kite.label_to_id["7"]]
-    for r in (0, 5, -1):
-        with pytest.raises(ValueError):
-            fuzzy_count(shells, r)
+        assert series.counts[r - 1] == pytest.approx(value, abs=1e-4)
+        assert series.real_counts[r - 1] == real
 
 
 def test_series_shape_and_invariants(kite):

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import fldrank.si
 from conftest import (
+    binary_tree_graph,
     coupled_infected_sets,
     oracle_ability,
     oracle_si_step,
     oracle_trajectory,
+    oracle_tree_mean,
     path_graph,
     random_graph,
     same_runs,
@@ -449,6 +451,8 @@ def test_negative_seed_or_key_fails_loudly():
         derive_seed(-1, 0)
     with pytest.raises(ValueError):
         derive_seed(0, 1, -2)
+    with pytest.raises(ValueError, match="non-negative"):
+        seed_words(-1, [0])
 
 
 # --- engine against the per-contact oracle on numpy's generators ---------------
@@ -535,6 +539,56 @@ def test_star_center_and_leaf_expectations():
     # center: 1 + Binomial(4, 1/2); leaf: 1 + Bernoulli(1/2); 3 sigma bands
     assert abs(center - 3.0) < 3 * math.sqrt(1.0 / reps)
     assert abs(leaf - 1.5) < 3 * math.sqrt(0.25 / reps)
+
+
+# --- the exact SI mean on trees ---------------------------------------------
+
+# replicate counts, seed and z bounds were fixed before the first run; a miss
+# is a finding about the SI engine, not a reason to re-seed
+EXACT_REPLICATES = 2000
+BOUND_REPLICATES = 500
+Z_BOUND = 4.0
+
+
+def final_counts(g, node, lam, t, replicates):
+    cfg = SiConfig(lam=lam, seeds=(node,), replicates=replicates, max_steps=t, rng_seed=0)
+    return replicate_counts(g, cfg)[:, -1]
+
+
+def z_score(counts, expected):
+    se = counts.std(ddof=1) / math.sqrt(len(counts))
+    assert se > 0
+    return (counts.mean() - expected) / se
+
+
+@pytest.mark.parametrize(
+    "build, n, lam, t, labels",
+    [(path_graph, 201, 0.3, 10, ["0", "100"]), (binary_tree_graph, 255, 0.2, 8, ["0", "5", "200"])],
+    ids=["path201", "tree255"],
+)
+def test_mean_count_matches_the_exact_tree_mean(build, n, lam, t, labels):
+    g = build(n)
+    for label in labels:
+        node = g.label_to_id[label]
+        counts = final_counts(g, node, lam, t, EXACT_REPLICATES)
+        z = z_score(counts, oracle_tree_mean(g.shell_counts[node], t, lam))
+        assert abs(z) <= Z_BOUND, (label, z)
+
+
+def test_mean_count_is_at_least_the_tree_bound(karate):
+    for node in range(karate.node_count):
+        counts = final_counts(karate, node, 0.1, 5, BOUND_REPLICATES)
+        z = z_score(counts, oracle_tree_mean(karate.shell_counts[node], 5, 0.1))
+        assert z >= -Z_BOUND, (karate.node_labels[node], z)
+
+
+def test_rate_one_count_is_the_cumulative_shell_count(karate):
+    for g, t in [(path_graph(201), 10), (binary_tree_graph(255), 8), (karate, 2)]:
+        for node in range(0, g.node_count, 7):
+            shells = g.shell_counts[node]
+            reach = sum(shells[: t + 1])
+            assert final_counts(g, node, 1.0, t, 3).tolist() == [reach] * 3
+            assert oracle_tree_mean(shells, t, 1.0) == reach
 
 
 def test_t_eval_must_be_positive(kite):
