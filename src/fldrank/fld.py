@@ -53,13 +53,23 @@ def fuzzy_count_series(shell_counts: tuple[int, ...]) -> FuzzyCountSeries:
     by shell, left to right, so the result is bit-identical under any node
     relabeling.
     """
+    return _series(shell_counts, _membership_table(len(shell_counts) - 1))
+
+
+def _membership_table(depth: int) -> list[list[float]]:
+    """``table[r - 1][d]`` is ``membership(d, r)``, for radii r = 1..depth and d = 0..r."""
+    return [[membership(d, r) for d in range(r + 1)] for r in range(1, depth + 1)]
+
+
+def _series(shell_counts: tuple[int, ...], table: list[list[float]]) -> FuzzyCountSeries:
+    """``fuzzy_count_series`` with the weights read from a table at least as deep."""
     radii = tuple(range(1, len(shell_counts)))
     reals = tuple(accumulate(shell_counts))[1:]
     counts: list[float] = []
-    for r, real in zip(radii, reals):
+    for weights, real in zip(table, reals):
         total = 0.0
-        for d in range(r + 1):
-            total += shell_counts[d] * membership(d, r)
+        for shell, weight in zip(shell_counts, weights):  # d = 0..r
+            total += shell * weight
         counts.append(total / real)
     return FuzzyCountSeries(radii, tuple(counts), reals)
 
@@ -70,6 +80,9 @@ def fuzzy_local_dimension(g: Graph) -> ScoreVector:
     Per node, the slope of ln(fuzzy count) against ln(radius) over radii
     1..d_max. Negative slopes are valid scores marking peripheral nodes.
     Nodes seeing fewer than two radii cannot be fitted; they are flagged
-    undefined and carry sentinel score 0, which keeps rankings total.
+    undefined and carry sentinel score 0, which keeps rankings total. The
+    weights of every radius up to the deepest node's d_max are computed
+    once and shared by all nodes.
     """
-    return _log_log_slopes(g, Measure.FLD, lambda shells: fuzzy_count_series(shells).counts)
+    table = _membership_table(max(map(len, g.shell_counts), default=1) - 1)
+    return _log_log_slopes(g, Measure.FLD, lambda shells: _series(shells, table).counts)

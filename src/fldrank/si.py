@@ -8,15 +8,18 @@ wavefront from the seed set, which anchors the tests.
 
 Replicates run as a batch of boolean state rows over the graph's cached CSR
 contact arrays (``Graph.edge_arrays``), addressed as flat cells (node v of
-row b is cell b * n + v): each ``si_step`` visits the contacts of the
-infected cells only and keeps those whose head cell is still susceptible,
-and a row stops once it has infected the seeds' whole components, when no
-such contact is left. Replicate k draws one uniform per open contact, in
-contact order, from the stream of ``replicate_rng(rng_seed, k)``, so its
-trajectory does not depend on how many replicates run alongside it or on how
-they are batched. ``seed_words`` seeds all those streams in one vectorized
-hash pass and ``ReplicateStreams`` draws them. ``replicate_counts`` returns
-every replicate's infected counts as one table, and ``simulate`` averages it.
+row b is cell b * n + v). Each ``si_step`` visits the contacts of the
+spreaders only, the infected cells that still have a susceptible neighbor
+(the S-I boundary), and keeps those whose head cell is still susceptible,
+so a step costs O(R n) plus the spreaders' degree sum, not the degree sum
+of every infected cell. A row stops when it has no spreader left, which is
+when it has infected the seeds' whole components. Replicate k draws one
+uniform per open contact, in contact order, from the stream of
+``replicate_rng(rng_seed, k)``, so its trajectory does not depend on how
+many replicates run alongside it or on how they are batched.
+``seed_words`` seeds all those streams in one vectorized hash pass and
+``ReplicateStreams`` draws them. ``replicate_counts`` returns every
+replicate's infected counts as one table, and ``simulate`` averages it.
 """
 
 from __future__ import annotations
@@ -277,27 +280,31 @@ def si_step(
     infected: np.ndarray,
     lam: float,
     rng: np.random.Generator | Sequence[np.random.Generator] | Callable[[np.ndarray], np.ndarray],
+    spreaders: np.ndarray | None = None,
 ) -> np.ndarray:
     """One synchronous update; returns the newly infected cells as sorted flat indices.
 
     ``infected`` is one replicate's (n,) state or an (R, n) batch of
     replicate rows. Node v of row b is cell ``b * n + v``, so one
-    replicate's cells are node IDs. Only the infected cells' contacts are
-    visited, in a fixed order (cells ascending, neighbors in adjacency
-    order), so a step costs O(R n) plus their degree sum. Each contact whose
-    head cell is still susceptible consumes one uniform from its row's
-    stream: ``rng`` is a function ``draw(counts)`` returning row r's next
-    ``counts[r]`` uniforms, in row order, as ``simulate`` passes, or a
-    Generator per row (a single one for an (n,) state), which is wrapped
-    into one. A given stream state so always yields the same outcome.
-    ``infected`` is not modified.
+    replicate's cells are node IDs. The step visits the contacts of
+    ``spreaders``, sorted infected cells that include every infected cell
+    with a susceptible neighbor (by default every infected cell), in a
+    fixed order: cells ascending, neighbors in adjacency order. A cell with
+    no susceptible neighbor has no open contact, so leaving it out changes
+    nothing, and a step costs O(R n) plus the spreaders' degree sum. Each
+    contact whose head cell is still susceptible consumes one uniform from
+    its row's stream: ``rng`` is a function ``draw(counts)`` returning row
+    r's next ``counts[r]`` uniforms, in row order, as ``simulate`` passes,
+    or a Generator per row (a single one for an (n,) state), which is
+    wrapped into one. A given stream state so always yields the same
+    outcome. ``infected`` is not modified.
     """
     offsets, targets = g.edge_arrays
     n = g.node_count
     rows = 1 if np.ndim(infected) == 1 else len(infected)
     draw = rng if callable(rng) else _generator_draw(rng)
     state = np.asarray(infected, dtype=bool).ravel()
-    cells = np.flatnonzero(state)
+    cells = np.flatnonzero(state) if spreaders is None else spreaders
     nodes = cells % n
     contacts, degrees = contact_ids(offsets, nodes)
     heads = np.repeat(cells - nodes, degrees) + targets[contacts]
@@ -314,28 +321,38 @@ def _run_chunk(
     lam: float,
     max_steps: int,
     streams: ReplicateStreams,
-    reach: int,
 ) -> np.ndarray:
     """Run one replicate per stream row as a batch of boolean state rows.
 
     Returns the infected count of every row at steps 0..T, where T is the
-    last step any row took (a stopped row keeps its terminal count). A row
-    stops at the first step with no open contact, which is when it has
-    infected all ``reach`` nodes of the seeds' components, or at the step cap.
+    last step any row took (a stopped row keeps its terminal count). Each
+    step expands only the spreaders, the infected cells that still have a
+    neighbor not yet infected; every cell counts those neighbors down as
+    they are infected. A row stops when it has no spreader left, which is
+    when it has infected the seeds' whole components, or at the step cap.
     """
-    n = g.node_count
-    infected = np.zeros((len(streams), n), dtype=bool)
+    offsets, targets = g.edge_arrays
+    n, rows = g.node_count, len(streams)
+    infected = np.zeros((rows, n), dtype=bool)
     infected[:, list(seeds)] = True
+    cells = infected.ravel()
     f = infected.sum(axis=1)
     counts = [f.copy()]
-    live = np.arange(len(streams)) if lam > 0.0 else np.empty(0, dtype=np.intp)
-    while len(counts) <= max_steps:
-        live = live[f[live] < reach]
-        if not live.size:
+    left = np.tile(np.diff(offsets).astype(np.int32), rows)  # per cell, neighbors not infected
+    new = np.flatnonzero(cells)
+    draw = partial(streams.draw, np.arange(rows))
+    while lam > 0.0 and len(counts) <= max_steps:
+        nodes = new % n
+        contacts, degrees = contact_ids(offsets, nodes)
+        heads = np.repeat(new - nodes, degrees) + targets[contacts]
+        left -= np.bincount(heads, minlength=left.size)
+        # from a mask, not by merging sorted arrays: numpy's integer sort adds 0.4 MB of RSS
+        spreaders = np.flatnonzero(cells & (left > 0))
+        if not spreaders.size:
             break
-        rows, nodes = np.divmod(si_step(g, infected[live], lam, partial(streams.draw, live)), n)
-        infected[live[rows], nodes] = True
-        f += np.bincount(live[rows], minlength=len(streams))
+        new = si_step(g, infected, lam, draw, spreaders)
+        cells[new] = True
+        f += np.bincount(new // n, minlength=rows)
         counts.append(f.copy())
     return np.stack(counts, axis=1)
 
@@ -351,14 +368,10 @@ def replicate_counts(g: Graph, cfg: SiConfig) -> np.ndarray:
     if cfg.seeds[-1] >= g.node_count:  # seeds are sorted
         raise ValueError(f"seed node {cfg.seeds[-1]} out of range for {g.node_count} nodes")
     max_steps = cfg.max_steps if cfg.max_steps is not None else 10 * max(diameter(g), 1)
-    components = g.components
-    reach = sum(
-        components.component_sizes[c] for c in {components.component_id[s] for s in cfg.seeds}
-    )
     chunk = max(1, _CHUNK_CONTACTS // max(g.edge_arrays[1].size, g.node_count))
     words = seed_words(cfg.rng_seed, range(cfg.replicates))
     parts = [
-        _run_chunk(g, cfg.seeds, cfg.lam, max_steps, ReplicateStreams(words[i : i + chunk]), reach)
+        _run_chunk(g, cfg.seeds, cfg.lam, max_steps, ReplicateStreams(words[i : i + chunk]))
         for i in range(0, cfg.replicates, chunk)
     ]
     # pad every batch to the longest run by carrying its terminal counts

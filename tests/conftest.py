@@ -8,6 +8,7 @@ check.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -57,6 +58,35 @@ def ladder_graph(rungs: int) -> Graph:
 def binary_tree_graph(n: int) -> Graph:
     """Nodes 0..n-1, node i the parent of 2i + 1 and 2i + 2."""
     return Graph.build([(str((i - 1) // 2), str(i)) for i in range(1, n)])
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """A rows x cols lattice, node "i,j" joined to its right and lower neighbors."""
+    edges = [(f"{i},{j}", f"{i},{j + 1}") for i in range(rows) for j in range(cols - 1)]
+    edges += [(f"{i},{j}", f"{i + 1},{j}") for i in range(rows - 1) for j in range(cols)]
+    return Graph.build(edges)
+
+
+def prufer_tree_graph(n: int, rng: np.random.Generator) -> Graph:
+    """The labeled tree on "0".."n-1" (n >= 2) of a uniformly drawn Prufer sequence.
+
+    Decoded with a heap of leaves: each sequence entry is joined to the
+    smallest current leaf, and the last two leaves are joined at the end.
+    """
+    sequence = rng.integers(n, size=n - 2).tolist()
+    degree = [1] * n
+    for v in sequence:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in sequence:
+        edges.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph.build((str(a), str(b)) for a, b in edges)
 
 
 def barabasi_albert_graph(n: int, m: int, seed: int) -> Graph:

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+
+import fldrank.fld
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_slope, cycle_graph, random_graph, relabeled, scores_by_label
+from conftest import (
+    closed_form_slope,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    relabeled,
+    scores_by_label,
+)
 from fldrank import (
     Graph,
     bfs_distances,
@@ -15,6 +24,7 @@ from fldrank import (
     membership,
     rank_nodes,
 )
+from fldrank.centrality import ols_slope
 
 # Expected per-node fuzzy local dimension of the kite network, nodes 1..10.
 KITE_FLD = (0.3609, 0.3609, 0.3015, 0.4554, 0.4554, 0.3015, 0.4442, 0.0760, 0.0375, -0.1163)
@@ -123,6 +133,37 @@ def test_slope_matches_independent_regression(kite, karate):
             xs = [math.log(r) for r in series.radii]
             ys = [math.log(c) for c in series.counts]
             assert abs(sv.scores[i] - closed_form_slope(xs, ys)) < 1e-12
+
+
+def test_scores_are_the_slopes_of_each_nodes_own_series_bit_for_bit(karate):
+    # the shared weight table must give every node, shallow or deep, the
+    # bits of its own series; a clique with a long tail mixes depths 1 to 22
+    tail = [(f"t{i}", f"t{i + 1}") for i in range(20)]
+    clique = [(str(i), str(j)) for i in range(5) for j in range(i + 1, 5)]
+    for g in (karate, Graph.build(clique + tail + [("4", "t0")], nodes=["x"])):
+        sv = fuzzy_local_dimension(g)
+        for i, shells in enumerate(g.shell_counts):
+            if len(shells) < 3:
+                assert sv.undefined[i]
+                continue
+            series = fuzzy_count_series(shells)
+            xs = [math.log(r) for r in series.radii]
+            assert sv.scores[i] == ols_slope(xs, [math.log(c) for c in series.counts])
+
+
+def test_weights_are_computed_once_per_distance_and_radius(monkeypatch):
+    # path(30) has depth 29: one call per (d, r) with 0 <= d <= r <= 29,
+    # where one table per node would make about 30 times as many
+    calls = []
+    real = fldrank.fld.membership
+
+    def spy(d, eps):
+        calls.append((d, eps))
+        return real(d, eps)
+
+    monkeypatch.setattr(fldrank.fld, "membership", spy)
+    fuzzy_local_dimension(path_graph(30))
+    assert sorted(calls) == [(d, r) for d in range(30) for r in range(1, 30) if d <= r]
 
 
 def test_nodes_without_two_radii_get_sentinel():

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 import fldrank.si
 from conftest import (
+    barabasi_albert_graph,
     binary_tree_graph,
     coupled_infected_sets,
+    grid_graph,
     oracle_ability,
     oracle_si_step,
     oracle_trajectory,
     oracle_tree_mean,
     path_graph,
+    prufer_tree_graph,
     random_graph,
     same_runs,
     star_graph,
@@ -273,6 +276,19 @@ def test_simulate_matches_oracle_on_steps_wider_than_a_row_buffer(max_steps):
     _assert_counts_match_oracle(g, cfg)
 
 
+@pytest.mark.parametrize("graph", ["ba200", "grid12"])
+@pytest.mark.parametrize("one_row_batches", [False, True], ids=["batched", "one-row"])
+def test_simulate_matches_oracle_where_most_cells_end_interior(graph, one_row_batches, monkeypatch):
+    # run to saturation: most infected cells lose their last susceptible
+    # neighbor and leave the spreaders long before the run ends
+    g = barabasi_albert_graph(200, 3, seed=0) if graph == "ba200" else grid_graph(12, 12)
+    if one_row_batches:
+        monkeypatch.setattr(fldrank.si, "_CHUNK_CONTACTS", 1)
+    cfg = SiConfig(lam=0.3, seeds=(0,), replicates=8, rng_seed=0)
+    _assert_counts_match_oracle(g, cfg)
+    assert replicate_counts(g, cfg)[:, -1].tolist() == [g.node_count] * 8
+
+
 def _assert_counts_match_oracle(g, cfg):
     """Each table row is its oracle run padded with its terminal count."""
     expected = [
@@ -301,6 +317,59 @@ def test_batch_step_matches_row_by_row_steps(karate):
     for k in range(5):
         expected = si_step(karate, batch[k], 0.4, replicate_rng(9, k))
         assert nodes[rows == k].tolist() == expected.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    p=st.floats(0.1, 0.8),
+    rows=st.integers(1, 4),
+    density=st.floats(0.0, 1.0),
+    lam=st.floats(0.0, 1.0),
+)
+def test_step_over_the_spreaders_is_the_step_over_every_infected_cell(
+    seed, n, p, rows, density, lam
+):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    state = rng.random((rows, n)) < density
+    # the infected cells with a susceptible neighbor, by brute force
+    spreaders = np.array(
+        [
+            b * n + v
+            for b in range(rows)
+            for v in range(n)
+            if state[b, v] and any(not state[b, u] for u in g.adjacency[v])
+        ],
+        dtype=np.intp,
+    )
+    if rows == 1:  # one replicate's (n,) state
+        state = state[0]
+    every, boundary = ([replicate_rng(seed, k) for k in range(rows)] for _ in range(2))
+    expected = si_step(g, state, lam, every)
+    assert si_step(g, state, lam, boundary, spreaders).tolist() == expected.tolist()
+    # both consumed the same uniforms, so every stream is at the same next draw
+    assert [r.random() for r in every] == [r.random() for r in boundary]
+
+
+def test_a_run_expands_only_the_boundary(monkeypatch):
+    # on a path seeded at one end at rate 1, step t has t + 1 infected cells
+    # but one spreader, with 2 contacts at most
+    real = fldrank.si.contact_ids
+    sizes = []
+
+    def spy(offsets, nodes):
+        contacts, degrees = real(offsets, nodes)
+        sizes.append(contacts.size)
+        return contacts, degrees
+
+    monkeypatch.setattr(fldrank.si, "contact_ids", spy)
+    g = path_graph(400)
+    simulate(g, SiConfig(lam=1.0, seeds=(g.label_to_id["0"],), replicates=1))
+    monkeypatch.undo()
+    assert len(sizes) >= 399  # at least one expansion per step
+    assert max(sizes) <= 2
 
 
 def test_simulate_steps_each_batch_through_si_step(karate, monkeypatch):
@@ -580,6 +649,34 @@ def test_mean_count_is_at_least_the_tree_bound(karate):
         counts = final_counts(karate, node, 0.1, 5, BOUND_REPLICATES)
         z = z_score(counts, oracle_tree_mean(karate.shell_counts[node], 5, 0.1))
         assert z >= -Z_BOUND, (karate.node_labels[node], z)
+
+
+# fixed with the constants above, before the first run
+PRUFER_REPLICATES = 500
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 10_000),
+    tree_seed=st.integers(0, 2**32 - 1),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    lam=st.sampled_from([0.1, 0.3, 0.5]),
+    t=st.integers(1, 10),
+)
+def test_mean_count_matches_the_exact_mean_on_random_trees(n, tree_seed, where, lam, t):
+    g = prufer_tree_graph(n, np.random.default_rng(tree_seed))
+    node = int(where * n)
+    counts = final_counts(g, node, lam, t, PRUFER_REPLICATES)
+    z = z_score(counts, oracle_tree_mean(bfs_distances(g, node).shell_counts, t, lam))
+    assert abs(z) <= Z_BOUND, z
+
+
+def test_mean_count_is_at_least_the_tree_bound_on_ba200():
+    g = barabasi_albert_graph(200, 3, seed=0)
+    for node in range(0, g.node_count, 4):
+        counts = final_counts(g, node, 0.1, 5, BOUND_REPLICATES)
+        z = z_score(counts, oracle_tree_mean(g.shell_counts[node], 5, 0.1))
+        assert z >= -Z_BOUND, (g.node_labels[node], z)
 
 
 def test_rate_one_count_is_the_cumulative_shell_count(karate):
