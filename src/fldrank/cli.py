@@ -222,7 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--lambda", dest="lam", type=_rate, help="infection rate directly")
     p_si.add_argument("--replicates", type=_positive_int, default=100)
     p_si.add_argument("--rng-seed", type=_non_negative_int, default=0)
-    p_si.add_argument("--max-steps", type=_non_negative_int, default=None)
+    p_si.add_argument(
+        "--max-steps",
+        type=_non_negative_int,
+        default=None,
+        help="step cap of every replicate (default: 10 × the graph's diameter, at least 1)",
+    )
     p_si.set_defaults(func=cmd_si)
 
     p_tau = sub.add_parser("tau", help="rank correlation against spreading ability")

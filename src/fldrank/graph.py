@@ -300,3 +300,14 @@ def connected_components(g: Graph) -> ComponentMap:
 def diameter(g: Graph) -> int:
     """Largest finite eccentricity over all nodes; 0 for an empty graph."""
     return max((len(shells) - 1 for shells in g.shell_counts), default=0)
+
+
+def double_sweep_depth(g: Graph, source: int) -> int:
+    """Eccentricity of the node a BFS from ``source`` visits last: at most the diameter.
+
+    A double sweep (Magnien, Latapy & Habib, JEA 2009): two single-source
+    BFS runs bound the diameter from below, without the all-sources pass.
+    """
+    far = _bfs(g, source, [UNREACHABLE] * g.node_count)[-1]
+    dist = [UNREACHABLE] * g.node_count
+    return dist[_bfs(g, far, dist)[-1]]

@@ -13,10 +13,14 @@ spreaders only, the infected cells that still have a susceptible neighbor
 (the S-I boundary), and keeps those whose head cell is still susceptible,
 so a step costs O(R n) plus the spreaders' degree sum, not the degree sum
 of every infected cell. A row stops when it has no spreader left, which is
-when it has infected the seeds' whole components. Replicate k draws one
-uniform per open contact, in contact order, from the stream of
-``replicate_rng(rng_seed, k)``, so its trajectory does not depend on how
-many replicates run alongside it or on how they are batched.
+when it has infected the seeds' whole components, or at the step cap: 10
+times the graph's diameter (at least 1) unless the config sets one. A
+double sweep from the first seed bounds that cap from below, so the exact
+diameter, and the all-sources pass behind it, is computed only when a batch
+is still running at the bound. Replicate k draws one uniform per open
+contact, in contact order, from the stream of ``replicate_rng(rng_seed,
+k)``, so its trajectory does not depend on how many replicates run
+alongside it or on how they are batched.
 ``seed_words`` seeds all those streams in one vectorized hash pass and
 ``ReplicateStreams`` draws them. ``replicate_counts`` returns every
 replicate's infected counts as one table, and ``simulate`` averages it.
@@ -27,12 +31,12 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, contact_ids, diameter
+from .graph import Graph, contact_ids, diameter, double_sweep_depth
 
 # Contact budget of one replicate batch. A step of R rows visits at most R
 # times the directed edges, so R is this over the edge count (or node count,
@@ -202,12 +206,17 @@ def seed_words(master_seed: int, replicates) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
+@cache
+def _register_words() -> None:
+    # registered, not subclassed: a subclass would load numpy.random (5 MB) on import
+    np.random.bit_generator.ISeedSequence.register(_Words)
+
+
 class _Words:
     """One row of ``seed_words`` as a PCG64's seed sequence, which PCG64 reads by raw pointer."""
 
     def __init__(self, words: np.ndarray):
-        # registered, not subclassed: a subclass would load numpy.random (5 MB) on import
-        np.random.bit_generator.ISeedSequence.register(_Words)
+        _register_words()
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
@@ -319,7 +328,8 @@ def _run_chunk(
     g: Graph,
     seeds: tuple[int, ...],
     lam: float,
-    max_steps: int,
+    low: int,
+    cap: Callable[[], int],
     streams: ReplicateStreams,
 ) -> np.ndarray:
     """Run one replicate per stream row as a batch of boolean state rows.
@@ -329,7 +339,9 @@ def _run_chunk(
     step expands only the spreaders, the infected cells that still have a
     neighbor not yet infected; every cell counts those neighbors down as
     they are infected. A row stops when it has no spreader left, which is
-    when it has infected the seeds' whole components, or at the step cap.
+    when it has infected the seeds' whole components, or at the step cap
+    ``cap()``, which is at least ``low`` and asked for only by a batch that
+    runs ``low`` steps without stopping.
     """
     offsets, targets = g.edge_arrays
     n, rows = g.node_count, len(streams)
@@ -341,7 +353,7 @@ def _run_chunk(
     left = np.tile(np.diff(offsets).astype(np.int32), rows)  # per cell, neighbors not infected
     new = np.flatnonzero(cells)
     draw = partial(streams.draw, np.arange(rows))
-    while lam > 0.0 and len(counts) <= max_steps:
+    while lam > 0.0 and (len(counts) <= low or len(counts) <= cap()):
         nodes = new % n
         contacts, degrees = contact_ids(offsets, nodes)
         heads = np.repeat(new - nodes, degrees) + targets[contacts]
@@ -364,14 +376,24 @@ def replicate_counts(g: Graph, cfg: SiConfig) -> np.ndarray:
     keeps its terminal count. Deterministic given cfg: replicate k always
     uses the substream derived from (cfg.rng_seed, k), independent of the
     replicate count and of how the replicates are batched.
+
+    Without ``cfg.max_steps`` the cap is 10 times the diameter (at least 1).
+    Every batch runs first against 10 times a double-sweep depth from the
+    first seed, a lower bound; the exact diameter is computed, once, only if
+    a batch is still running at that bound.
     """
     if cfg.seeds[-1] >= g.node_count:  # seeds are sorted
         raise ValueError(f"seed node {cfg.seeds[-1]} out of range for {g.node_count} nodes")
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 10 * max(diameter(g), 1)
+    if cfg.max_steps is None:
+        low = 10 * max(double_sweep_depth(g, cfg.seeds[0]), 1)
+        cap = cache(lambda: 10 * max(diameter(g), 1))
+    else:
+        low = cfg.max_steps
+        cap = lambda: low
     chunk = max(1, _CHUNK_CONTACTS // max(g.edge_arrays[1].size, g.node_count))
     words = seed_words(cfg.rng_seed, range(cfg.replicates))
     parts = [
-        _run_chunk(g, cfg.seeds, cfg.lam, max_steps, ReplicateStreams(words[i : i + chunk]))
+        _run_chunk(g, cfg.seeds, cfg.lam, low, cap, ReplicateStreams(words[i : i + chunk]))
         for i in range(0, cfg.replicates, chunk)
     ]
     # pad every batch to the longest run by carrying its terminal counts

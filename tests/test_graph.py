@@ -15,6 +15,7 @@ from fldrank import (
     parse_edge_list,
 )
 from fldrank.datasets import kite_path
+from fldrank.graph import double_sweep_depth
 
 
 def test_parse_path_graph():
@@ -194,6 +195,31 @@ def test_diameter_values(kite):
     assert diameter(Graph.build([])) == 0
     assert diameter(Graph.build([], nodes=["x"])) == 0
     assert diameter(Graph.build([("a", "b"), ("c", "d")])) == 1
+
+
+def test_double_sweep_depth_values(kite):
+    # from an end of a path the second sweep starts at the other end
+    assert double_sweep_depth(path_graph(6), 2) == 5
+    assert double_sweep_depth(kite, 0) == diameter(kite)
+    assert double_sweep_depth(Graph.build([], nodes=["x"]), 0) == 0
+    # the sweep stays in the source's component
+    two = Graph.build([("a", "b"), ("c", "d"), ("d", "e")])
+    assert double_sweep_depth(two, two.label_to_id["a"]) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 14),
+    p=st.floats(0.0, 0.6),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_double_sweep_depth_is_a_lower_bound_on_the_diameter(seed, n, p, where):
+    # sparse draws leave isolated nodes and several components
+    g = random_graph(np.random.default_rng(seed), n, p)
+    source = int(where * n)
+    depth = double_sweep_depth(g, source)
+    assert bfs_distances(g, source).d_max <= depth <= diameter(g)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fldrank.graph
 import fldrank.si
 from conftest import (
     barabasi_albert_graph,
@@ -26,6 +31,7 @@ from fldrank import (
     SiConfig,
     bfs_distances,
     connected_components,
+    diameter,
     lambda_from_beta,
     replicate_counts,
     replicate_rng,
@@ -33,6 +39,7 @@ from fldrank import (
     simulate,
     spreading_ability,
 )
+from fldrank.datasets import load_karate
 from fldrank.si import _ROW_BUFFER, ReplicateStreams, _Words, derive_seed, seed_words
 
 
@@ -289,6 +296,44 @@ def test_simulate_matches_oracle_where_most_cells_end_interior(graph, one_row_ba
     assert replicate_counts(g, cfg)[:, -1].tolist() == [g.node_count] * 8
 
 
+def test_a_run_past_the_sweep_bound_falls_back_to_the_exact_cap(monkeypatch):
+    # the seed's triangle sweeps to depth 1, a bound of 10 steps, but the
+    # separate 6-node path sets the diameter to 5, a cap of 50 steps
+    g = Graph.build(
+        [("s", "a"), ("a", "b"), ("b", "s")] + [(f"p{i}", f"p{i + 1}") for i in range(5)]
+    )
+    calls = {"all_distance_fields": [], "diameter": []}
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda graph: calls[name].append(graph) or real(graph))
+
+    spy(fldrank.graph, "all_distance_fields")
+    spy(fldrank.si, "diameter")  # by its module-level name, where the tracer wraps it
+    cfg = SiConfig(lam=0.05, seeds=(g.label_to_id["s"],), replicates=20, rng_seed=3)
+    table = replicate_counts(g, cfg)
+    # one exact diameter for all 20 rows, which runs the all-sources pass once
+    assert calls == {"all_distance_fields": [g], "diameter": [g]}
+    assert table.shape[1] - 1 > 10  # some replicate outlasted the bound
+    for k, row in enumerate(table.tolist()):
+        f = list(oracle_trajectory(g, cfg.seeds, cfg.lam, None, replicate_rng(3, k)).f)
+        assert row == f + f[-1:] * (len(row) - len(f))
+
+
+@pytest.mark.parametrize(
+    "build", [load_karate, lambda: barabasi_albert_graph(200, 3, seed=0)], ids=["karate", "ba200"]
+)
+def test_a_run_within_the_sweep_bound_runs_no_all_sources_pass(build):
+    g, h = build(), build()  # h runs the exact cap on a graph of its own
+    cfg = SiConfig(lam=0.5, seeds=(0,), replicates=20, rng_seed=4)
+    table = replicate_counts(g, cfg)
+    assert "shell_counts" not in g.__dict__
+    capped = SiConfig(
+        lam=0.5, seeds=(0,), replicates=20, max_steps=10 * max(diameter(h), 1), rng_seed=4
+    )
+    assert np.array_equal(table, replicate_counts(h, capped))
+
+
 def _assert_counts_match_oracle(g, cfg):
     """Each table row is its oracle run padded with its terminal count."""
     expected = [
@@ -433,6 +478,23 @@ def test_seed_words_serve_only_the_request_pcg64_makes():
     for request in [(4,), (4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.int64), (4, swapped)]:
         with pytest.raises(ValueError, match="seed words"):
             _Words(row).generate_state(*request)
+
+
+def _loads_numpy_random(statement):
+    """Whether a fresh interpreter has ``numpy.random`` loaded after ``statement``."""
+    src = str(Path(fldrank.si.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    check = f"import sys; {statement}; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # _Words registers itself with numpy.random on first use, not on import
+    if _loads_numpy_random("import numpy"):
+        pytest.skip("this numpy loads numpy.random on import")
+    assert not _loads_numpy_random("import fldrank.cli")
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
