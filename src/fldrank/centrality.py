@@ -185,9 +185,13 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     denominator.
 
     Both sweeps (Brandes, J. Math. Sociol. 2001) run level by level over the
-    CSR contact arrays for a block of sources at once. The counts are int64
-    and become Python ints within a block once they could reach 2**63, so
-    each block runs once and the results stay exact.
+    CSR contact arrays for a block of sources at once. Each forward level
+    is direction-optimizing (Beamer, Asanovic & Patterson, SC 2012): it
+    expands either the frontier's contacts or the unseen nodes' contacts,
+    whichever are fewer. Both find the same DAG edges, so the direction
+    moves only the cost. The counts are int64 and become Python ints within
+    a block once they could reach 2**63, so each block runs once and the
+    results stay exact.
     """
     n = g.node_count
     offsets, targets = g.edge_arrays
@@ -199,13 +203,12 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     copies = np.append((rows * targets.size + offsets[:-1]).ravel(), width * targets.size)
     heads = (rows * n + targets).ravel()
     tails = (rows * n + np.repeat(np.arange(n), degrees)).ravel()
-    # a node gathers from at most max-degree DAG neighbors: their counts below this sum below 2**63
-    limit = _INT64_LIMIT // max(1, int(degrees.max(initial=0)))
+    max_degree = int(degrees.max(initial=0))
     numerators = np.zeros(n, dtype=object)
     denominator = 0
     for first in range(0, n, width):
         sources = np.arange(first, min(first + width, n))
-        part, share = _block_path_counts(n, copies, heads, tails, limit, sources)
+        part, share = _block_path_counts(n, copies, heads, tails, max_degree, sources)
         numerators += part.astype(object)
         denominator += share
     return numerators.tolist(), denominator
@@ -216,19 +219,27 @@ def _block_path_counts(
     copies: np.ndarray,
     heads: np.ndarray,
     tails: np.ndarray,
-    limit: int,
+    max_degree: int,
     sources: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Numerator parts and denominator share of a block of sources.
 
     Cell ``b * n + v`` holds node v as seen from ``sources[b]``, in copy b of
-    the graph (CSR ``copies``, contact ends ``heads`` and ``tails``). The forward
-    sweep expands only the frontier cells' contacts and keeps those that
-    reach unseen cells: they are that level's shortest-path DAG edges, along
-    which sigma flows. The backward sweep replays them in reverse to sum
-    downstream counts. Both run in int64. Before a backward level whose
-    counts could reach 2**63 (a count so far of ``limit`` - 1 or more), the
-    downstream counts turn to Python ints, and sigma is recounted on them.
+    the graph (CSR ``copies``, contact ends ``heads`` and ``tails``). A forward
+    level's shortest-path DAG edges, along which sigma flows, are the
+    contacts between its frontier and the unseen cells. Top-down, the level
+    expands the frontier cells' contacts and keeps those that reach unseen
+    cells. Bottom-up, it expands the unseen cells' contacts and keeps those
+    whose other end is in the frontier. It goes bottom-up when the unseen
+    cells have fewer contacts than the frontier. A thin frontier, whose size
+    times ``max_degree`` is at most half the contacts of the frontier and the
+    unseen cells together, goes top-down without counting its contacts. A
+    thin level takes its next frontier by a slot pass over the kept heads,
+    any other level from the cells that turned seen. The backward sweep
+    replays the DAG edges in reverse to sum downstream counts. Both run in
+    int64. Before a backward level whose counts could reach 2**63 (a count
+    so far of ``limit`` - 1 or more), the downstream counts turn to Python
+    ints, and sigma is recounted on them.
     """
     width = sources.size
     cells = np.arange(width) * n + sources
@@ -239,20 +250,44 @@ def _block_path_counts(
     slot = np.empty(width * n, dtype=np.intp)
     dag: list[tuple[np.ndarray, np.ndarray]] = []
     frontier = cells
+    # contacts of the cells not yet expanded: the frontier's and the unseen cells'
+    reach = int(copies[width * n])
     while frontier.size:
-        contacts, _ = contact_ids(copies, frontier)
-        head = heads[contacts]
-        fresh = np.flatnonzero(unseen[head])
-        head, tail = head[fresh], tails[contacts[fresh]]
+        # a level goes the way that expands fewer contacts, and a thin
+        # frontier's size bound shows it top-down with no numpy call
+        thin = 2 * frontier.size * max_degree <= reach
+        if thin or 2 * int((copies[frontier + 1] - copies[frontier]).sum()) <= reach:
+            contacts, _ = contact_ids(copies, frontier)
+            head = heads[contacts]
+            fresh = np.flatnonzero(unseen[head])
+            head, tail = head[fresh], tails[contacts[fresh]]
+            reach -= contacts.size
+        else:
+            # bottom-up: of the unseen cells' contacts, those from the frontier
+            front = np.zeros(width * n, dtype=bool)
+            front[frontier] = True
+            contacts, _ = contact_ids(copies, np.flatnonzero(unseen))
+            tail = heads[contacts]
+            kept = np.flatnonzero(front[tail])
+            tail, head = tail[kept], tails[contacts[kept]]
+            reach = contacts.size  # every contact left is an unseen cell's
+        if not thin:
+            was = unseen.copy()
         unseen[head] = False
         np.add.at(sigma, head, sigma[tail])
         dag.append((tail, head))
-        # one entry per distinct head cell: the last contact written into its slot
-        order = np.arange(head.size)
-        slot[head] = order
-        frontier = head[slot[head] == order]
+        if thin:
+            # one entry per distinct head cell: the last contact written into its slot
+            order = np.arange(head.size)
+            slot[head] = order
+            frontier = head[slot[head] == order]
+        else:
+            # the cells that turned seen, in cell order
+            frontier = np.flatnonzero(was != unseen)
     down = np.zeros(width * n, dtype=np.int64)
     top_down = 0
+    # a node gathers from at most max-degree DAG neighbors: their counts below this sum below 2**63
+    limit = _INT64_LIMIT // max(1, max_degree)
     for tail, head in reversed(dag):
         # the bound runs ahead of the level, so every count so far is exact
         if top_down + 1 >= limit and down.dtype != object:

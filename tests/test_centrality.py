@@ -14,6 +14,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     diamond_chain,
+    grid_graph,
     ladder_graph,
     oracle_path_counts,
     path_graph,
@@ -145,6 +146,24 @@ def two_components_and_isolated_nodes() -> Graph:
     return Graph.build(edges, nodes=["lone", "a", "hermit"])
 
 
+def diamonds_into_clique() -> Graph:
+    """``diamond_chain(70)`` with its far end joined to a 40-clique.
+
+    A bc block here has levels that go bottom-up (into the clique) and
+    counts past 2**63 (along the chain).
+    """
+    edges = []
+    for g, prefix in ((diamond_chain(70), ""), (complete_graph(40), "k")):
+        labels = g.node_labels
+        edges += [
+            (prefix + labels[v], prefix + labels[u])
+            for v in range(g.node_count)
+            for u in g.adjacency[v]
+            if v < u
+        ]
+    return Graph.build([*edges, ("a70", "k0")])
+
+
 def oracle_cases(kite, karate, path_length=300):
     rng = np.random.default_rng(7)
     shapes = zip(rng.integers(3, 150, 12), rng.uniform(0.005, 0.2, 12))
@@ -154,6 +173,9 @@ def oracle_cases(kite, karate, path_length=300):
         karate,
         path_graph(path_length),
         star_graph(40),
+        barabasi_albert_graph(120, 3, 1),
+        grid_graph(12, 12),
+        diamonds_into_clique(),
         two_components_and_isolated_nodes(),
         Graph.build([]),
         Graph.build([], nodes=["a"]),
@@ -170,9 +192,10 @@ def test_path_counts_match_per_source_oracle(kite, karate):
         assert all(type(c) is int for c in [*numerators, denominator])
 
 
-@pytest.mark.parametrize("budget", [1, 2**40])
+@pytest.mark.parametrize("budget", [1, 2**9, 2**40])
 def test_path_counts_do_not_depend_on_block_size(kite, karate, monkeypatch, budget):
-    # budget 1 runs one source per block, 2**40 all sources in one block
+    # budget 1 runs one source per block, 2**40 all sources in one block;
+    # 2**9 runs karate in blocks of 3 sources and a last block of 1
     cases = oracle_cases(kite, karate, path_length=60)
     expected = [shortest_path_counts(g) for g in cases]
     monkeypatch.setattr(centrality, "_BLOCK_CONTACTS", budget)
@@ -200,6 +223,24 @@ def test_path_counts_rerun_exactly_past_int64(karate, monkeypatch, links):
     dtypes.clear()
     shortest_path_counts(karate)
     assert object not in dtypes
+
+
+def test_path_counts_expand_fewer_contacts_than_every_source_top_down(monkeypatch):
+    # top-down alone expands each source's n cells' contacts once: n * 2E
+    real = centrality.contact_ids
+    sizes = []
+
+    def spy(offsets, nodes):
+        contacts, degrees = real(offsets, nodes)
+        sizes.append(contacts.size)
+        return contacts, degrees
+
+    monkeypatch.setattr(centrality, "contact_ids", spy)
+    g = barabasi_albert_graph(300, 3, 0)
+    shortest_path_counts(g)
+    assert sum(sizes) < 0.6 * g.node_count * g.edge_arrays[1].size
+    path = path_graph(300)
+    assert shortest_path_counts(path) == oracle_path_counts(path)
 
 
 def test_path_counts_run_each_block_once(monkeypatch):
