@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import Graph, contact_ids
+from .graph import Graph, contact_ids, disjoint_copies
 
 # Contact budget of one betweenness source block. A block of w sources
 # holds w * n cells, w copies of the contact arrays and up to w times the
@@ -194,16 +194,11 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     results stay exact.
     """
     n = g.node_count
-    offsets, targets = g.edge_arrays
-    width = max(1, min(n, _BLOCK_CONTACTS // max(targets.size, n, 1)))
-    degrees = np.diff(offsets)
-    # width disjoint copies of the graph, one per source row b: cell b * n + v
-    # is node v, and contact c of copy b is b * E + c
-    rows = np.arange(width)[:, None]
-    copies = np.append((rows * targets.size + offsets[:-1]).ravel(), width * targets.size)
-    heads = (rows * n + targets).ravel()
-    tails = (rows * n + np.repeat(np.arange(n), degrees)).ravel()
-    max_degree = int(degrees.max(initial=0))
+    width = max(1, min(n, _BLOCK_CONTACTS // max(g.edge_arrays[1].size, n, 1)))
+    # one disjoint copy of the graph per source of a block
+    copies, heads = disjoint_copies(g, width)
+    tails = np.repeat(np.arange(width * n), np.diff(copies))
+    max_degree = int(np.diff(g.edge_arrays[0]).max(initial=0))
     numerators = np.zeros(n, dtype=object)
     denominator = 0
     for first in range(0, n, width):

@@ -283,6 +283,17 @@ def contact_ids(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.
     return contacts, degrees
 
 
+def disjoint_copies(g: Graph, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets of ``width`` disjoint copies of ``g``, and each contact's head cell.
+
+    Cell ``b * n + v`` is node v of copy b, and contact c of copy b is ``b * 2E + c``.
+    """
+    offsets, targets = g.edge_arrays
+    rows = np.arange(width)[:, None]
+    copies = np.append((rows * targets.size + offsets[:-1]).ravel(), width * targets.size)
+    return copies, (rows * g.node_count + targets).ravel()
+
+
 def connected_components(g: Graph) -> ComponentMap:
     """Label components by BFS; IDs follow the smallest node in each component."""
     dist = [UNREACHABLE] * g.node_count

@@ -8,22 +8,22 @@ wavefront from the seed set, which anchors the tests.
 
 Replicates run as a batch of boolean state rows over the graph's cached CSR
 contact arrays (``Graph.edge_arrays``), addressed as flat cells (node v of
-row b is cell b * n + v). Each ``si_step`` visits the contacts of the
-spreaders only, the infected cells that still have a susceptible neighbor
-(the S-I boundary), and keeps those whose head cell is still susceptible,
-so a step costs O(R n) plus the spreaders' degree sum, not the degree sum
-of every infected cell. A row stops when it has no spreader left, which is
-when it has infected the seeds' whole components, or at the step cap: 10
-times the graph's diameter (at least 1) unless the config sets one. A
-double sweep from the first seed bounds that cap from below, so the exact
-diameter, and the all-sources pass behind it, is computed only when a batch
-is still running at the bound. Replicate k draws one uniform per open
-contact, in contact order, from the stream of ``replicate_rng(rng_seed,
-k)``, so its trajectory does not depend on how many replicates run
-alongside it or on how they are batched.
-``seed_words`` seeds all those streams in one vectorized hash pass and
-``ReplicateStreams`` draws them. ``replicate_counts`` returns every
-replicate's infected counts as one table, and ``simulate`` averages it.
+row b is cell b * n + v). A batch expands each infected cell's contacts
+once, when it is infected, into a bool mask of live contacts; each step
+closes those whose head cell is infected, and ``si_step`` draws over the
+rest, the open contacts. A batch stops when no contact is open, which is
+when every row has infected the seeds' whole components, or at the step
+cap: 10 times the graph's
+diameter (at least 1) unless the config sets one. A double sweep from the
+first seed bounds that cap from below, so the exact diameter, and the
+all-sources pass behind it, is computed only when a batch is still running
+at the bound. Replicate k draws one uniform per open contact, in contact
+order, from the stream of ``replicate_rng(rng_seed, k)``, so its trajectory
+does not depend on how many replicates run alongside it or on how they are
+batched. ``seed_words`` seeds all those streams in one vectorized hash
+pass and ``ReplicateStreams`` draws them. ``replicate_counts`` returns
+every replicate's infected counts as one table, and ``simulate`` averages
+it.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, contact_ids, diameter, double_sweep_depth
+from .graph import Graph, contact_ids, diameter, disjoint_copies, double_sweep_depth
 
 # Contact budget of one replicate batch. A step of R rows visits at most R
 # times the directed edges, so R is this over the edge count (or node count,
@@ -248,18 +248,17 @@ class ReplicateStreams:
             self._rngs[row] = np.random.Generator(np.random.PCG64(_Words(self._words[row])))
         return self._rngs[row]
 
-    def draw(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """The next ``counts[i]`` uniforms of each row ``rows[i]``, concatenated in that order."""
+    def draw(self, counts: np.ndarray) -> np.ndarray:
+        """The next ``counts[r]`` uniforms of every row r (0 sits the step out), in row order."""
         if len(self) == 1:
             return self._rng(0).random(counts.item())
-        short = self._pos[rows] + counts > self._buf.shape[1]
-        for row, need in zip(rows[short].tolist(), counts[short].tolist()):
+        short = np.flatnonzero(self._pos + counts > self._buf.shape[1])
+        for row, need in zip(short.tolist(), counts[short].tolist()):
             self._refill(row, need)
         width = self._buf.shape[1]
-        start = self._pos[rows]
-        self._pos[rows] = start + counts
+        start, self._pos = self._pos, self._pos + counts
         offsets = np.cumsum(counts) - counts
-        cells = np.repeat(rows * width + start - offsets, counts)
+        cells = np.repeat(np.arange(len(self)) * width + start - offsets, counts)
         return self._buf.ravel()[cells + np.arange(cells.size)]
 
     def _refill(self, row: int, need: int) -> None:
@@ -278,49 +277,46 @@ class ReplicateStreams:
         self._pos[row] = 0
 
 
-def _generator_draw(rng: np.random.Generator | Sequence[np.random.Generator]):
-    """``draw(counts)`` over caller-supplied generators, one per row."""
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    return lambda counts: np.concatenate([r.random(c) for r, c in zip(rngs, counts.tolist())])
-
-
 def si_step(
     g: Graph,
     infected: np.ndarray,
     lam: float,
     rng: np.random.Generator | Sequence[np.random.Generator] | Callable[[np.ndarray], np.ndarray],
-    spreaders: np.ndarray | None = None,
+    heads: np.ndarray | None = None,
 ) -> np.ndarray:
     """One synchronous update; returns the newly infected cells as sorted flat indices.
 
-    ``infected`` is one replicate's (n,) state or an (R, n) batch of
-    replicate rows. Node v of row b is cell ``b * n + v``, so one
-    replicate's cells are node IDs. The step visits the contacts of
-    ``spreaders``, sorted infected cells that include every infected cell
-    with a susceptible neighbor (by default every infected cell), in a
-    fixed order: cells ascending, neighbors in adjacency order. A cell with
-    no susceptible neighbor has no open contact, so leaving it out changes
-    nothing, and a step costs O(R n) plus the spreaders' degree sum. Each
-    contact whose head cell is still susceptible consumes one uniform from
-    its row's stream: ``rng`` is a function ``draw(counts)`` returning row
-    r's next ``counts[r]`` uniforms, in row order, as ``simulate`` passes,
-    or a Generator per row (a single one for an (n,) state), which is
-    wrapped into one. A given stream state so always yields the same
-    outcome. ``infected`` is not modified.
+    ``infected`` is one replicate's (n,) state or an (R, n) batch of rows
+    over the n nodes of ``g``; node v of row b is cell ``b * n + v``. Each
+    open contact, from an infected cell to a susceptible one, draws one
+    uniform from its row's stream, in a fixed order: infected cells
+    ascending, neighbors in adjacency order. ``heads`` are the head cells of
+    the open contacts in that order; by default the step finds them by
+    expanding every infected cell. ``rng`` is ``draw(counts)``, returning
+    row r's next ``counts[r]`` uniforms in row order, or one Generator per
+    row (a lone one for an (n,) state). ``infected`` is not modified.
     """
-    offsets, targets = g.edge_arrays
     n = g.node_count
-    rows = 1 if np.ndim(infected) == 1 else len(infected)
-    draw = rng if callable(rng) else _generator_draw(rng)
-    state = np.asarray(infected, dtype=bool).ravel()
-    cells = np.flatnonzero(state) if spreaders is None else spreaders
-    nodes = cells % n
-    contacts, degrees = contact_ids(offsets, nodes)
-    heads = np.repeat(cells - nodes, degrees) + targets[contacts]
-    heads = heads[~state[heads]]
+    state = np.asarray(infected, dtype=bool)
+    if state.ndim not in (1, 2) or state.shape[-1] != n:
+        raise ValueError(f"infected must have shape ({n},) or (R, {n}), got {state.shape}")
+    rows = 1 if state.ndim == 1 else len(state)
+    if not callable(rng):
+        rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+        if len(rngs) != rows:
+            raise ValueError(f"need one Generator per row: {rows} row(s), {len(rngs)} given")
+        rng = lambda counts: np.concatenate([r.random(c) for r, c in zip(rngs, counts.tolist())])
+    state = state.ravel()
+    if heads is None:
+        offsets, targets = g.edge_arrays
+        cells = np.flatnonzero(state)
+        nodes = cells % n
+        contacts, degrees = contact_ids(offsets, nodes)
+        heads = np.repeat(cells - nodes, degrees) + targets[contacts]
+        heads = heads[~state[heads]]
     counts = np.bincount(heads // n, minlength=rows)
     newly = np.zeros(state.size, dtype=bool)
-    newly[heads[draw(counts) < lam]] = True
+    newly[heads[rng(counts) < lam]] = True
     return np.flatnonzero(newly)
 
 
@@ -336,33 +332,33 @@ def _run_chunk(
 
     Returns the infected count of every row at steps 0..T, where T is the
     last step any row took (a stopped row keeps its terminal count). Each
-    step expands only the spreaders, the infected cells that still have a
-    neighbor not yet infected; every cell counts those neighbors down as
-    they are infected. A row stops when it has no spreader left, which is
-    when it has infected the seeds' whole components, or at the step cap
-    ``cap()``, which is at least ``low`` and asked for only by a batch that
-    runs ``low`` steps without stopping.
+    step marks the contacts of the cells infected the step before as
+    ``live``, the run's one expansion of them, then closes the live
+    contacts whose head is infected; the rest are the step's open contacts.
+    A step so costs an O(R 2E) bool scan plus the new cells' degrees plus
+    the live contacts. The batch stops when none is open, or at the step
+    cap ``cap()``, which is at least ``low`` and asked for only by a batch
+    that runs ``low`` steps without stopping.
     """
-    offsets, targets = g.edge_arrays
     n, rows = g.node_count, len(streams)
+    copies, heads = disjoint_copies(g, rows)
     infected = np.zeros((rows, n), dtype=bool)
     infected[:, list(seeds)] = True
     cells = infected.ravel()
     f = infected.sum(axis=1)
     counts = [f.copy()]
-    left = np.tile(np.diff(offsets).astype(np.int32), rows)  # per cell, neighbors not infected
+    live = np.zeros(heads.size, dtype=bool)
     new = np.flatnonzero(cells)
-    draw = partial(streams.draw, np.arange(rows))
     while lam > 0.0 and (len(counts) <= low or len(counts) <= cap()):
-        nodes = new % n
-        contacts, degrees = contact_ids(offsets, nodes)
-        heads = np.repeat(new - nodes, degrees) + targets[contacts]
-        left -= np.bincount(heads, minlength=left.size)
-        # from a mask, not by merging sorted arrays: numpy's integer sort adds 0.4 MB of RSS
-        spreaders = np.flatnonzero(cells & (left > 0))
-        if not spreaders.size:
+        live[contact_ids(copies, new)[0]] = True
+        contacts = np.flatnonzero(live)
+        reached = heads[contacts]
+        susceptible = ~cells[reached]
+        live[contacts] = susceptible
+        reached = reached[susceptible]
+        if not reached.size:
             break
-        new = si_step(g, infected, lam, draw, spreaders)
+        new = si_step(g, infected, lam, streams.draw, reached)
         cells[new] = True
         f += np.bincount(new // n, minlength=rows)
         counts.append(f.copy())
@@ -377,10 +373,8 @@ def replicate_counts(g: Graph, cfg: SiConfig) -> np.ndarray:
     uses the substream derived from (cfg.rng_seed, k), independent of the
     replicate count and of how the replicates are batched.
 
-    Without ``cfg.max_steps`` the cap is 10 times the diameter (at least 1).
-    Every batch runs first against 10 times a double-sweep depth from the
-    first seed, a lower bound; the exact diameter is computed, once, only if
-    a batch is still running at that bound.
+    Without ``cfg.max_steps`` the cap is 10 times the diameter (at least 1),
+    computed once and only for a batch still running at a double-sweep bound.
     """
     if cfg.seeds[-1] >= g.node_count:  # seeds are sorted
         raise ValueError(f"seed node {cfg.seeds[-1]} out of range for {g.node_count} nodes")
@@ -398,9 +392,7 @@ def replicate_counts(g: Graph, cfg: SiConfig) -> np.ndarray:
     ]
     # pad every batch to the longest run by carrying its terminal counts
     length = max(part.shape[1] for part in parts)
-    return np.vstack(
-        [np.pad(part, ((0, 0), (0, length - part.shape[1])), mode="edge") for part in parts]
-    )
+    return np.vstack([np.pad(p, ((0, 0), (0, length - p.shape[1])), mode="edge") for p in parts])
 
 
 def simulate(g: Graph, cfg: SiConfig) -> TrajectoryEnsemble:

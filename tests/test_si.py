@@ -373,34 +373,62 @@ def test_batch_step_matches_row_by_row_steps(karate):
     density=st.floats(0.0, 1.0),
     lam=st.floats(0.0, 1.0),
 )
-def test_step_over_the_spreaders_is_the_step_over_every_infected_cell(
+def test_step_over_the_open_contacts_is_the_step_over_every_infected_cell(
     seed, n, p, rows, density, lam
 ):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, p)
     state = rng.random((rows, n)) < density
-    # the infected cells with a susceptible neighbor, by brute force
-    spreaders = np.array(
+    # the head cells of the open contacts, by brute force, in draw order
+    heads = np.array(
         [
-            b * n + v
+            b * n + u
             for b in range(rows)
             for v in range(n)
-            if state[b, v] and any(not state[b, u] for u in g.adjacency[v])
+            if state[b, v]
+            for u in g.adjacency[v]
+            if not state[b, u]
         ],
         dtype=np.intp,
     )
     if rows == 1:  # one replicate's (n,) state
         state = state[0]
-    every, boundary = ([replicate_rng(seed, k) for k in range(rows)] for _ in range(2))
+    every, tracked = ([replicate_rng(seed, k) for k in range(rows)] for _ in range(2))
     expected = si_step(g, state, lam, every)
-    assert si_step(g, state, lam, boundary, spreaders).tolist() == expected.tolist()
+    assert si_step(g, state, lam, tracked, heads).tolist() == expected.tolist()
     # both consumed the same uniforms, so every stream is at the same next draw
-    assert [r.random() for r in every] == [r.random() for r in boundary]
+    assert [r.random() for r in every] == [r.random() for r in tracked]
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (1, 5), (2, 2, 4), ()])
+def test_step_rejects_a_state_of_another_shape(shape):
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="shape"):
+        si_step(g, np.ones(shape, dtype=bool), 0.5, replicate_rng(0, 0))
+
+
+@pytest.mark.parametrize("rows, generators", [(3, 4), (3, 2), (3, 0), (1, 2)])
+def test_step_rejects_a_generator_count_other_than_the_row_count(rows, generators):
+    g = path_graph(4)
+    state = np.zeros((rows, 4), dtype=bool)
+    state[:, 0] = True
+    with pytest.raises(ValueError, match="one Generator per row"):
+        si_step(g, state, 0.5, [replicate_rng(0, k) for k in range(generators)])
+
+
+def test_step_takes_a_lone_generator_for_one_row_only():
+    g = path_graph(4)
+    one = np.array([True, False, False, False])
+    expected = si_step(g, one, 1.0, replicate_rng(0, 0))
+    assert si_step(g, one, 1.0, [replicate_rng(0, 0)]).tolist() == expected.tolist()
+    assert si_step(g, one[None], 1.0, replicate_rng(0, 0)).tolist() == expected.tolist()
+    with pytest.raises(ValueError, match="one Generator per row"):
+        si_step(g, np.stack([one, one]), 1.0, replicate_rng(0, 0))
 
 
 def test_a_run_expands_only_the_boundary(monkeypatch):
     # on a path seeded at one end at rate 1, step t has t + 1 infected cells
-    # but one spreader, with 2 contacts at most
+    # but one new cell, with 2 contacts at most, to expand
     real = fldrank.si.contact_ids
     sizes = []
 
@@ -415,6 +443,28 @@ def test_a_run_expands_only_the_boundary(monkeypatch):
     monkeypatch.undo()
     assert len(sizes) >= 399  # at least one expansion per step
     assert max(sizes) <= 2
+
+
+@pytest.mark.parametrize("one_row_batches", [False, True])
+def test_a_run_expands_each_infected_cell_once(karate, one_row_batches, monkeypatch):
+    real = fldrank.si.contact_ids
+    expanded = []
+
+    def spy(offsets, nodes):
+        contacts, degrees = real(offsets, nodes)
+        expanded.append(contacts.size)
+        return contacts, degrees
+
+    if one_row_batches:
+        monkeypatch.setattr(fldrank.si, "_CHUNK_CONTACTS", 1)
+    monkeypatch.setattr(fldrank.si, "contact_ids", spy)
+    cfg = SiConfig(lam=0.3, seeds=(0, 16), replicates=12, rng_seed=2)
+    table = replicate_counts(karate, cfg)
+    monkeypatch.undo()
+    # every run infects the whole (connected) graph before its step cap, and
+    # so has expanded each of its cells, all 2E contacts, once by its end
+    assert (table[:, -1] == karate.node_count).all()
+    assert sum(expanded) == cfg.replicates * karate.edge_arrays[1].size
 
 
 def test_simulate_steps_each_batch_through_si_step(karate, monkeypatch):
@@ -451,8 +501,8 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200 + 7]
 EDGE_KEYS = [0, 1, 99, 2**32 - 1]
 
 
-def _expected_draws(refs, rows, counts):
-    return np.concatenate([refs[r].random(c) for r, c in zip(rows, counts)])
+def _expected_draws(refs, counts):
+    return np.concatenate([ref.random(c) for ref, c in zip(refs, counts)])
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
@@ -503,31 +553,31 @@ def test_streams_match_replicate_rng_draw_for_draw(seed):
     refs = [replicate_rng(seed, key) for key in EDGE_KEYS]
     w = _ROW_BUFFER  # each of the four rows starts with an empty buffer this wide
     schedule = [
-        ([0, 1, 2, 3], [3, 0, w, 1]),  # every row fills on its first draw; row 2 drains it
-        ([0, 2, 3], [w - 3, 1, 5]),  # row 0 drains; row 2 refills from offset w
-        ([1, 3], [w - 2, 2]),  # row 1's first draw leaves 2 unread
+        [3, 0, w, 1],  # every row fills on its first draw; row 2 drains it
+        [w - 3, 0, 1, 5],  # row 0 drains; row 2 refills from offset w
+        [0, w - 2, 0, 2],  # row 1's first draw leaves 2 unread
         # rows 1 and 3 refill in one step, and their draws straddle the end of
         # the old buffer and the new fill; row 0 refills from empty
-        ([0, 1, 2, 3], [w // 2, 5, 1, w - 4]),
-        ([3], [w]),  # a lone live row draws a whole buffer right after a partial read
+        [w // 2, 5, 1, w - 4],
+        [0, 0, 0, w],  # a lone drawing row draws a whole buffer right after a partial read
         # row 1 needs more than a row holds: every row widens, and row 2 reads
         # on from its unread uniforms at the end of the wider buffer
-        ([1, 2], [w + 7, 3]),
+        [0, w + 7, 3, 0],
         # row 0 widens and refills, then row 3 widens again and moves row 0's
         # fresh uniforms; row 0's draws straddle its old unread and the fill
-        ([0, 1, 2, 3], [2 * w, 0, 1, 3 * w]),
-        ([3], [5000]),  # a lone live row widens, after a refill
-        ([3], [4]),
-        ([1, 2], [1, 1]),
+        [2 * w, 0, 1, 3 * w],
+        [0, 0, 0, 5000],  # a lone drawing row widens, after a refill
+        [0, 0, 0, 4],
+        [0, 1, 1, 0],
     ]
-    for rows, counts in schedule:
-        got = streams.draw(np.array(rows), np.array(counts))
-        assert got.tolist() == _expected_draws(refs, rows, counts).tolist()
+    for counts in schedule:
+        got = streams.draw(np.array(counts))
+        assert got.tolist() == _expected_draws(refs, counts).tolist()
     # a one-row batch reads its Generator directly, below, past and far past a buffer's width
     lone = ReplicateStreams(seed_words(seed, EDGE_KEYS[-1:]))
     ref = replicate_rng(seed, EDGE_KEYS[-1])
     for count in [1, 3, w + 7, 5000]:
-        assert lone.draw(np.array([0]), np.array([count])).tolist() == ref.random(count).tolist()
+        assert lone.draw(np.array([count])).tolist() == ref.random(count).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -541,11 +591,9 @@ def test_streams_match_replicate_rng_on_any_draw_sequence(seed, keys, steps):
     refs = [replicate_rng(seed, key) for key in keys]
     for step in steps:
         # rows with a zero count sit the step out, as stopped rows do
-        rows = [r for r in range(len(keys)) if step[r]]
-        counts = [step[r] for r in rows]
-        if rows:
-            got = streams.draw(np.array(rows), np.array(counts))
-            assert got.tolist() == _expected_draws(refs, rows, counts).tolist()
+        counts = step[: len(keys)]
+        got = streams.draw(np.array(counts))
+        assert got.tolist() == _expected_draws(refs, counts).tolist()
 
 
 @pytest.mark.parametrize("keys", [[2**32], [0, 2**32 + 5], [-1]])
