@@ -6,12 +6,14 @@ Unpacks ``git archive BASE`` into a temporary directory and runs one fixed
 matrix of CLI commands against that tree and against this checkout, on the
 same input files: the bundled kite and karate graphs and generated
 BA(300, 3), path(300) and 12x12 grid graphs. On every graph the matrix runs
-``rank`` with each of the six measures, ``compare``, ``si`` with and without
-``--max-steps`` and ``tau`` at one rate; one more run asks ``si`` for more
-seeds than kite has nodes, so an error path is compared too. Each run's
-rows, manifest, stdout, stderr and exit code are compared. Every difference
-is printed, and the script exits 1 if there is any, 0 otherwise (2 if
-BASE cannot be unpacked).
+``rank`` with each of the six measures, ``compare``; ``si`` with and without
+``--max-steps``, at rate 0 and with one replicate; and ``tau`` at one rate
+for each measure. Three more runs take one graph each: on karate, ``si``
+with 150 replicates (two SI batches of unequal length) and ``tau`` on the
+default grid; on kite, ``si --top`` past the node count, an error path.
+Each run's rows, manifest, stdout, stderr and exit code are compared. Every
+difference is printed, and the script exits 1 if there is any, 0 otherwise
+(2 if BASE cannot be unpacked). The two trees of a run run side by side.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,9 +38,21 @@ COMMANDS = {
         *("si", "--top", "3", "--measure", "fld", "--lambda", "0.3"),
         *("--replicates", "20", "--max-steps", "6", "--rng-seed", "7"),
     ],
-    "tau": ["tau", "--measure", "fld", "--lambda-range", "0.2:0.2:0.1", "--replicates", "20"],
+    "si-rate-0": ["si", "--top", "3", "--measure", "dc", "--lambda", "0", "--replicates", "5"],
+    "si-one-replicate": ["si", "--top", "3", "--measure", "dc", "--beta", "2", "--replicates", "1"],
+    **{
+        f"tau-{m}": ["tau", "--measure", m, "--lambda-range", "0.2:0.2:0.1", "--replicates", "20"]
+        for m in MEASURES
+    },
 }
-ERRORS = {"kite": {"si-too-many-seeds": ["si", "--top", "11", "--measure", "dc", "--beta", "1"]}}
+ON_ONE_GRAPH = {
+    "kite": {"si-too-many-seeds": ["si", "--top", "11", "--measure", "dc", "--beta", "1"]},
+    "karate": {
+        # karate's SI batches hold 105 rows: a batch of 105 and one of 45
+        "si-two-batches": ["si", "--top", "3", "--measure", "dc", "--beta", "2", "--replicates", "150"],
+        "tau-grid": ["tau", "--measure", "fld", "--t-eval", "3", "--replicates", "20"],
+    },
+}
 
 
 def ba_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
@@ -112,7 +127,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="commit to compare this checkout with, such as HEAD")
     base = parser.parse_args().base
-    with tempfile.TemporaryDirectory(prefix="fldrank-parity-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="fldrank-parity-") as tmp, ThreadPoolExecutor(2) as pool:
         tmp = Path(tmp)
         for folder in ("base", "inputs"):
             (tmp / folder).mkdir()
@@ -120,12 +135,10 @@ def main() -> int:
         inputs = write_inputs(tmp / "inputs")
         differences = runs = 0
         for graph, path in inputs.items():
-            for name, command in {**COMMANDS, **ERRORS.get(graph, {})}.items():
+            for name, command in {**COMMANDS, **ON_ONE_GRAPH.get(graph, {})}.items():
                 argv = [*command, "--input", str(path)]
-                outputs = [
-                    run(tree, tmp / side / graph / name, argv)
-                    for side, tree in (("base-runs", tmp / "base"), ("checkout-runs", ROOT))
-                ]
+                sides = [(tmp / "base", "base-runs"), (ROOT, "checkout-runs")]
+                outputs = list(pool.map(lambda s: run(s[0], tmp / s[1] / graph / name, argv), sides))
                 runs += 1
                 for key, value in outputs[0].items():
                     if outputs[1][key] != value:

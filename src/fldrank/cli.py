@@ -183,6 +183,8 @@ def cmd_tau(g: Graph, args) -> tuple[list, dict]:
 
 
 def cmd_compare(g: Graph, args) -> tuple[list, dict]:
+    if args.k > g.node_count:  # before any measure is computed
+        raise ValueError(f"--k {args.k} exceeds node count {g.node_count}")
     rankings = {
         m: rank_nodes(compute_measure(g, m), g.node_labels) for m in args.measures
     }

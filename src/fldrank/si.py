@@ -144,18 +144,17 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _seed_state(entropy: int, keys: np.ndarray, n_words: int) -> list[np.ndarray]:
+def _seed_state(entropy: int, keys: np.ndarray, n_words: int) -> np.ndarray:
     """``SeedSequence(entropy, spawn_key=(k,)).generate_state(n_words)`` per uint32 key k.
 
-    numpy's hash, step for step, with every word an array over ``keys``; the
-    entropy's own mixing runs once for all of them. Every value is kept below
-    2**32 before it meets an array, so the uint32 arithmetic wraps alike
-    under numpy 1.x value-based casting and numpy 2's NEP 50.
+    numpy's hash as an (n_words, len(keys)) uint32 array: the entropy mixes
+    once, then the key's rounds and the output's run as one array pass each.
+    Every value is kept below 2**32 before it meets an array, so the uint32
+    arithmetic wraps alike under numpy 1.x value-based casting and NEP 50.
     """
     # entropy shorter than the pool is padded with zeros, and the key follows it
     run = _words(entropy)
     run += [0] * (4 - len(run))
-    rest = run[4:] + [keys]
     h = _INIT_A
 
     def hashmix(value):
@@ -169,22 +168,28 @@ def _seed_state(entropy: int, keys: np.ndarray, n_words: int) -> list[np.ndarray
         value = (x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32) & _MASK32
         return value ^ value >> 16
 
+    def steps(h, mult, rounds):
+        """The hash constant at each of ``rounds`` + 1 steps from ``h``, as a uint32 column."""
+        hs = [h]
+        while len(hs) <= rounds:
+            hs.append(hs[-1] * mult & _MASK32)
+        return np.array(hs, dtype=np.uint32)[:, None]
+
     pool = [hashmix(w) for w in run[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in rest:
+    for w in run[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(w))
-    h = _INIT_B
-    out = []
-    for i in range(n_words):
-        value = pool[i % 4] ^ h
-        h = h * _MULT_B & _MASK32
-        value = value * h & _MASK32
-        out.append(value ^ value >> 16)
-    return out
+    # the key's four rounds, one per pool word, then the output's rounds
+    hs = steps(h, _MULT_A, 4)
+    value = (keys ^ hs[:-1]) * hs[1:]
+    pool = mix(np.array(pool, dtype=np.uint32)[:, None], value ^ value >> 16)
+    hs = steps(_INIT_B, _MULT_B, n_words)
+    value = (pool[np.arange(n_words) % 4] ^ hs[:-1]) * hs[1:]
+    return value ^ value >> 16
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -201,9 +206,9 @@ def seed_words(master_seed: int, replicates) -> np.ndarray:
     keys = np.asarray(replicates, dtype=np.int64)
     if keys.size and not (0 <= keys.min() and keys.max() <= _MASK32):
         raise ValueError("replicate indices must lie in [0, 2**32)")
-    words = np.stack(_seed_state(master_seed, keys.astype(np.uint32), 8), axis=1)
+    words = _seed_state(master_seed, keys.astype(np.uint32), 8).T
     # generate_state(4, np.uint64) reads the uint32 words little-endian
-    return words.astype("<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 @cache
@@ -228,38 +233,44 @@ class _Words:
 class ReplicateStreams:
     """Uniform draws for a batch of replicate rows, row r on the PCG64 seeded by ``words[r]``.
 
-    A row's Generator is built at its first draw. A one-row batch reads it
-    directly; in a wider batch each row keeps its unread uniforms at the end
-    of its buffer, which its Generator refills only when a step needs more.
+    Every row's Generator is built at the batch's first draw. A one-row
+    batch reads it directly; a wider batch fills every row's buffer in the
+    same loop, and each row then keeps its unread uniforms at the end of
+    its buffer, which its Generator refills only when a step needs more.
     """
 
     def __init__(self, words: np.ndarray):
         self._words = words
-        self._rngs: list[np.random.Generator | None] = [None] * len(words)
-        width = min(_ROW_BUFFER, _STREAM_BUFFER // len(words)) if len(words) > 1 else 0
-        self._buf = np.empty((len(words), width))
-        self._pos = np.full(len(words), width, dtype=np.intp)  # every row starts empty
+        self._rngs: list[np.random.Generator] = []
 
     def __len__(self) -> int:
-        return len(self._rngs)
-
-    def _rng(self, row: int) -> np.random.Generator:
-        if self._rngs[row] is None:
-            self._rngs[row] = np.random.Generator(np.random.PCG64(_Words(self._words[row])))
-        return self._rngs[row]
+        return len(self._words)
 
     def draw(self, counts: np.ndarray) -> np.ndarray:
         """The next ``counts[r]`` uniforms of every row r (0 sits the step out), in row order."""
+        if not self._rngs:
+            self._start(int(counts.max()))
         if len(self) == 1:
-            return self._rng(0).random(counts.item())
-        short = np.flatnonzero(self._pos + counts > self._buf.shape[1])
-        for row, need in zip(short.tolist(), counts[short].tolist()):
-            self._refill(row, need)
-        width = self._buf.shape[1]
-        start, self._pos = self._pos, self._pos + counts
-        offsets = np.cumsum(counts) - counts
-        cells = np.repeat(np.arange(len(self)) * width + start - offsets, counts)
-        return self._buf.ravel()[cells + np.arange(cells.size)]
+            return self._rngs[0].random(counts.item())
+        end = self._pos + counts
+        if end.max() > self._buf.shape[1]:
+            for row in np.flatnonzero(end > self._buf.shape[1]).tolist():
+                self._refill(row, int(counts[row]))
+            end = self._pos + counts
+        self._pos = end
+        ends = counts.cumsum()
+        cells = (self._base + end - ends).repeat(counts)
+        return self._buf.ravel()[cells + np.arange(ends[-1])]
+
+    def _start(self, need: int) -> None:
+        """Build every row's Generator and fill its whole buffer (a one-row batch has none)."""
+        rows = len(self)
+        width = max(min(_ROW_BUFFER, _STREAM_BUFFER // rows), need) if rows > 1 else 0
+        self._buf = np.empty((rows, width))
+        self._pos, self._base = np.zeros(rows, dtype=np.intp), np.arange(rows) * width
+        for words, buf in zip(self._words, self._buf):
+            self._rngs.append(np.random.Generator(np.random.PCG64(_Words(words))))
+            self._rngs[-1].random(out=buf)
 
     def _refill(self, row: int, need: int) -> None:
         """Keep the row's unread uniforms and fill the rest of its buffer from its stream."""
@@ -269,11 +280,12 @@ class ReplicateStreams:
             wider[:, need - width :] = self._buf
             self._buf = wider
             self._pos += need - width
+            self._base = np.arange(len(self)) * need
         buf = self._buf[row]
         left = buf.size - int(self._pos[row])
         if left:
             buf[:left] = buf[-left:]
-        self._rng(row).random(out=buf[left:])
+        self._rngs[row].random(out=buf[left:])
         self._pos[row] = 0
 
 
@@ -317,7 +329,7 @@ def si_step(
     counts = np.bincount(heads // n, minlength=rows)
     newly = np.zeros(state.size, dtype=bool)
     newly[heads[rng(counts) < lam]] = True
-    return np.flatnonzero(newly)
+    return newly.nonzero()[0]
 
 
 def _run_chunk(
@@ -331,38 +343,37 @@ def _run_chunk(
     """Run one replicate per stream row as a batch of boolean state rows.
 
     Returns the infected count of every row at steps 0..T, where T is the
-    last step any row took (a stopped row keeps its terminal count). Each
-    step marks the contacts of the cells infected the step before as
-    ``live``, the run's one expansion of them, then closes the live
-    contacts whose head is infected; the rest are the step's open contacts.
-    A step so costs an O(R 2E) bool scan plus the new cells' degrees plus
-    the live contacts. The batch stops when none is open, or at the step
-    cap ``cap()``, which is at least ``low`` and asked for only by a batch
-    that runs ``low`` steps without stopping.
+    last step any row took (a stopped row keeps its terminal count), built
+    once at the end from the cells each step infected. Each step marks the
+    contacts of the cells infected the step before as ``live``, the run's
+    one expansion of them, then closes the live contacts whose head is
+    infected; the rest are the step's open contacts. A step so costs an
+    O(R 2E) bool scan plus the new cells' degrees plus the live contacts.
+    The batch stops when none is open, or at the step cap ``cap()``, which
+    is at least ``low`` and asked for only by a batch that runs ``low``
+    steps without stopping.
     """
     n, rows = g.node_count, len(streams)
     copies, heads = disjoint_copies(g, rows)
     infected = np.zeros((rows, n), dtype=bool)
     infected[:, list(seeds)] = True
     cells = infected.ravel()
-    f = infected.sum(axis=1)
-    counts = [f.copy()]
+    news = [np.flatnonzero(cells)]  # the cells infected at each step, the seeds at step 0
     live = np.zeros(heads.size, dtype=bool)
-    new = np.flatnonzero(cells)
-    while lam > 0.0 and (len(counts) <= low or len(counts) <= cap()):
-        live[contact_ids(copies, new)[0]] = True
-        contacts = np.flatnonzero(live)
+    while lam > 0.0 and (len(news) <= low or len(news) <= cap()):
+        live[contact_ids(copies, news[-1])[0]] = True
+        contacts = live.nonzero()[0]
         reached = heads[contacts]
         susceptible = ~cells[reached]
         live[contacts] = susceptible
         reached = reached[susceptible]
         if not reached.size:
             break
-        new = si_step(g, infected, lam, streams.draw, reached)
-        cells[new] = True
-        f += np.bincount(new // n, minlength=rows)
-        counts.append(f.copy())
-    return np.stack(counts, axis=1)
+        news.append(si_step(g, infected, lam, streams.draw, reached))
+        cells[news[-1]] = True
+    steps = np.repeat(np.arange(len(news)), [new.size for new in news])
+    at = np.concatenate(news) // n * len(news) + steps  # (row, step) of every infection
+    return np.bincount(at, minlength=rows * len(news)).reshape(rows, -1).cumsum(axis=1)
 
 
 def replicate_counts(g: Graph, cfg: SiConfig) -> np.ndarray:
@@ -390,6 +401,8 @@ def replicate_counts(g: Graph, cfg: SiConfig) -> np.ndarray:
         _run_chunk(g, cfg.seeds, cfg.lam, low, cap, ReplicateStreams(words[i : i + chunk]))
         for i in range(0, cfg.replicates, chunk)
     ]
+    if len(parts) == 1:
+        return parts[0]
     # pad every batch to the longest run by carrying its terminal counts
     length = max(part.shape[1] for part in parts)
     return np.vstack([np.pad(p, ((0, 0), (0, length - p.shape[1])), mode="edge") for p in parts])

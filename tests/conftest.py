@@ -358,6 +358,26 @@ def oracle_tree_mean(shells, t: int, lam: float) -> float:
     return sum(shell * sum(pmf[d:]) for d, shell in enumerate(shells))
 
 
+def oracle_ibmf_mean(g: Graph, seed: int, lam: float, t: int) -> float:
+    """Individual-based mean-field SI count at step t from one seed; an upper bound on any graph.
+
+    q(0) marks the seed, and q_v(s + 1) = 1 - (1 - q_v(s)) * prod over u ~ v
+    of (1 - lam * q_u(s)). Every state is an increasing function of the
+    independent trials, one per (step, contact), so Harris' inequality gives
+    P(v susceptible at s + 1) >= P(v susceptible at s) * prod of
+    (1 - lam * P(u infected at s)); the recursion is increasing in q, so by
+    induction q_v(t) >= P(v infected by step t), and the sum bounds the mean
+    count from above. Not exact even on trees, where it counts a parent's
+    infection as independent of its child's.
+    """
+    q = np.zeros(g.node_count)
+    q[seed] = 1.0
+    for _ in range(t):
+        escape = [math.prod(1.0 - lam * q[u] for u in g.adjacency[v]) for v in range(g.node_count)]
+        q = 1.0 - (1.0 - q) * np.asarray(escape)
+    return float(q.sum())
+
+
 def coupled_infected_sets(
     g: Graph,
     seeds,

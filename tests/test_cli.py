@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import fldrank.cli
 import fldrank.graph
 from fldrank.cli import build_parser, main
 from fldrank.datasets import karate_path, kite_path
@@ -286,6 +287,16 @@ def test_compare_full_k_is_all_nodes(capsys):
     assert header == ["measure_a", "measure_b", "k", "overlap"]
     assert len(rows) == 36
     assert all(row[3] == "10" for row in rows)
+
+
+def test_compare_k_beyond_node_count_fails_before_any_measure(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(fldrank.cli, "compute_measure", lambda g, m: calls.append(m))
+    code, out, err = run(capsys, ["compare", "--input", str(kite_path()), "--k", "11"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: --k 11 exceeds node count 10\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fldrank.graph
@@ -17,6 +17,7 @@ from conftest import (
     coupled_infected_sets,
     grid_graph,
     oracle_ability,
+    oracle_ibmf_mean,
     oracle_si_step,
     oracle_trajectory,
     oracle_tree_mean,
@@ -551,9 +552,9 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
 def test_streams_match_replicate_rng_draw_for_draw(seed):
     streams = ReplicateStreams(seed_words(seed, EDGE_KEYS))
     refs = [replicate_rng(seed, key) for key in EDGE_KEYS]
-    w = _ROW_BUFFER  # each of the four rows starts with an empty buffer this wide
+    w = _ROW_BUFFER  # each of the four rows gets a buffer this wide at the first draw
     schedule = [
-        [3, 0, w, 1],  # every row fills on its first draw; row 2 drains it
+        [3, 0, w, 1],  # every row fills at the batch's first draw; row 2 drains it
         [w - 3, 0, 1, 5],  # row 0 drains; row 2 refills from offset w
         [0, w - 2, 0, 2],  # row 1's first draw leaves 2 unread
         # rows 1 and 3 refill in one step, and their draws straddle the end of
@@ -790,12 +791,92 @@ def test_mean_count_is_at_least_the_tree_bound_on_ba200():
 
 
 def test_rate_one_count_is_the_cumulative_shell_count(karate):
-    for g, t in [(path_graph(201), 10), (binary_tree_graph(255), 8), (karate, 2)]:
+    graphs = [
+        (path_graph(201), 10),
+        (binary_tree_graph(255), 8),
+        (karate, 2),
+        (barabasi_albert_graph(200, 3, seed=0), 3),
+        (grid_graph(12, 12), 4),
+        (_graph_with_isolated_node(), 2),  # node 0 is the isolated one
+    ]
+    for g, t in graphs:
         for node in range(0, g.node_count, 7):
             shells = g.shell_counts[node]
             reach = sum(shells[: t + 1])
             assert final_counts(g, node, 1.0, t, 3).tolist() == [reach] * 3
+            # both bounds are exact at rate 1, on any graph
             assert oracle_tree_mean(shells, t, 1.0) == reach
+            assert oracle_ibmf_mean(g, node, 1.0, t) == reach
+
+
+# --- both analytic bounds on any graph ----------------------------------------
+
+# fixed before the first run, like the constants above: the tree mean bounds
+# the mean from below, the individual-based mean field from above. At t = 2
+# the upper bound is the exact mean from one seed, and an engine that infects
+# at 1.1 lam lies 10-20 SE above it on karate at lam 0.5.
+SANDWICH_REPLICATES = 2000
+SANDWICH_GRAPHS = {
+    "karate": load_karate,
+    "ba200": lambda: barabasi_albert_graph(200, 3, seed=0),
+    "grid12": lambda: grid_graph(12, 12),
+}
+SANDWICH_CASES = [
+    ("karate", 0.5, 2, [str(v) for v in range(1, 35, 5)]),
+    ("karate", 0.1, 4, [str(v) for v in range(1, 35, 5)]),
+    ("ba200", 0.2, 3, [str(v) for v in range(0, 200, 25)]),
+    ("grid12", 0.3, 5, ["0,0", "0,6", "5,5", "11,11", "3,8"]),
+]
+
+
+def sandwich_z(counts, g, node, lam, t):
+    """z of the mean count against the tree lower bound and the mean-field upper bound.
+
+    A sample with no spread (every run the same count, as from a seed alone
+    in its component) is given a deviation of one count.
+    """
+    se = (counts.std(ddof=1) or 1.0) / math.sqrt(len(counts))
+    lower = oracle_tree_mean(bfs_distances(g, node).shell_counts, t, lam)
+    upper = oracle_ibmf_mean(g, node, lam, t)
+    return (counts.mean() - lower) / se, (counts.mean() - upper) / se
+
+
+@pytest.mark.parametrize("graph, lam, t, labels", SANDWICH_CASES)
+def test_mean_count_lies_between_the_tree_and_mean_field_bounds(graph, lam, t, labels):
+    g = SANDWICH_GRAPHS[graph]()
+    for label in labels:
+        node = g.label_to_id[label]
+        counts = final_counts(g, node, lam, t, SANDWICH_REPLICATES)
+        z_lower, z_upper = sandwich_z(counts, g, node, lam, t)
+        assert z_lower >= -Z_BOUND and z_upper <= Z_BOUND, (label, z_lower, z_upper)
+
+
+# fixed with the constants above, before the first run
+GNP_REPLICATES = 500
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 30),
+    isolated=st.integers(0, 3),
+    graph_seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.0, 0.4),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    lam=st.sampled_from([0.1, 0.3, 0.5]),
+    t=st.integers(1, 6),
+)
+@example(n=5, isolated=2, graph_seed=0, p=0.3, where=0.99, lam=0.3, t=3)  # a seed alone
+def test_mean_count_lies_between_both_bounds_on_random_graphs(
+    n, isolated, graph_seed, p, where, lam, t
+):
+    # nodes n .. n + isolated - 1 have no edge
+    rng = np.random.default_rng(graph_seed)
+    edges = [(str(i), str(j)) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    g = Graph.build(edges, nodes=[str(i) for i in range(n + isolated)])
+    node = int(where * g.node_count)
+    counts = final_counts(g, node, lam, t, GNP_REPLICATES)
+    z_lower, z_upper = sandwich_z(counts, g, node, lam, t)
+    assert z_lower >= -Z_BOUND and z_upper <= Z_BOUND, (z_lower, z_upper)
 
 
 def test_t_eval_must_be_positive(kite):
