@@ -11,6 +11,8 @@ BA(300, 3), path(300) and 12x12 grid graphs. On every graph the matrix runs
 for each measure. Three more runs take one graph each: on karate, ``si``
 with 150 replicates (two SI batches of unequal length) and ``tau`` on the
 default grid; on kite, ``si --top`` past the node count, an error path.
+A generated path(1000), deep enough for fld's and ld's node blocks to run
+at many widths, runs only ``rank`` with ld and with fld.
 Each run's rows, manifest, stdout, stderr and exit code are compared. Every
 difference is printed, and the script exits 1 if there is any, 0 otherwise
 (2 if BASE cannot be unpacked). The two trees of a run run side by side.
@@ -53,6 +55,8 @@ ON_ONE_GRAPH = {
         "tau-grid": ["tau", "--measure", "fld", "--t-eval", "3", "--replicates", "20"],
     },
 }
+# graphs that run only their own commands, not the matrix
+ONLY_ON_GRAPH = {"path1000": {f"rank-{m}": ["rank", "--measure", m] for m in ("ld", "fld")}}
 
 
 def ba_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
@@ -76,6 +80,7 @@ def write_inputs(folder: Path) -> dict[str, Path]:
     generated = {
         "ba300": [f"{a} {b}" for a, b in ba_edges(300, 3, 0)],
         "path300": [f"{i} {i + 1}" for i in range(299)],
+        "path1000": [f"{i} {i + 1}" for i in range(999)],
         "grid12": [
             f"{i},{j} {a},{b}"
             for i in range(12)
@@ -135,7 +140,8 @@ def main() -> int:
         inputs = write_inputs(tmp / "inputs")
         differences = runs = 0
         for graph, path in inputs.items():
-            for name, command in {**COMMANDS, **ON_ONE_GRAPH.get(graph, {})}.items():
+            commands = ONLY_ON_GRAPH.get(graph) or {**COMMANDS, **ON_ONE_GRAPH.get(graph, {})}
+            for name, command in commands.items():
                 argv = [*command, "--input", str(path)]
                 sides = [(tmp / "base", "base-runs"), (ROOT, "checkout-runs")]
                 outputs = list(pool.map(lambda s: run(s[0], tmp / s[1] / graph / name, argv), sides))

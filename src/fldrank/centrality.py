@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +24,12 @@ from .graph import Graph, contact_ids, disjoint_copies
 # each kind, however many sources the graph has.
 _BLOCK_CONTACTS = 2**16
 _INT64_LIMIT = 2**63
+# (radius, node) cells of one node block of the log-log slope pass; a block
+# holds a few float arrays of this size
+_BLOCK_CELLS = 2**16
+# values per list of the slope pass's math.log calls, whose Python floats
+# would otherwise take several times the block's arrays
+_LOG_CHUNK = 2**10
 # Power iteration for ec stops once no entry moves by _EC_TOL in one step.
 _EC_TOL = 1e-12
 _EC_MAX_ITER = 10_000
@@ -105,20 +111,32 @@ def label_sort_key(label: str):
 
 
 def rank_nodes(sv: ScoreVector, labels: tuple[str, ...]) -> RankingList:
-    """Deterministic ranking of all nodes from a score vector."""
+    """Deterministic ranking of all nodes from a score vector.
+
+    One stable ``np.lexsort`` on (undefined, negated oriented score, label
+    position); the label positions are computed once per label tuple.
+    """
     if len(labels) != len(sv.scores):
         raise ValueError("label count does not match score count")
-    undefined = sv.undefined.tolist()
     # undefined nodes last; -0.0 == 0.0, so signed zeros tie and fall back to labels
-    negated = np.where(sv.undefined, 0.0, -oriented_scores(sv)).tolist()
-    keys = list(zip(undefined, negated, map(label_sort_key, labels)))
-    order = sorted(range(len(labels)), key=keys.__getitem__)
+    negated = np.where(sv.undefined, 0.0, -oriented_scores(sv))
+    order = np.lexsort((_label_positions(tuple(labels)), negated, sv.undefined))
     return RankingList(
         measure=sv.measure,
-        labels=tuple(labels[i] for i in order),
-        scores=tuple(float(sv.scores[i]) for i in order),
-        undefined=tuple(undefined[i] for i in order),
+        labels=tuple(map(labels.__getitem__, order.tolist())),
+        scores=tuple(sv.scores[order].tolist()),
+        undefined=tuple(sv.undefined[order].tolist()),
     )
+
+
+@lru_cache(maxsize=8)
+def _label_positions(labels: tuple[str, ...]) -> np.ndarray:
+    """Each label's place in ascending ``label_sort_key`` order."""
+    order = sorted(range(len(labels)), key=lambda i: label_sort_key(labels[i]))
+    positions = np.empty(len(labels), dtype=np.intp)
+    positions[order] = np.arange(len(labels))
+    positions.setflags(write=False)
+    return positions
 
 
 def ols_slope(x, y) -> float:
@@ -151,16 +169,13 @@ def closeness_centrality(g: Graph) -> ScoreVector:
     """Reciprocal of the summed hop distances to every other node.
 
     The sum runs over the node's own component only; nodes in singleton
-    components have no distance sum at all and are flagged undefined.
+    components have no distance sum at all and are flagged undefined. The
+    sums are exact: one int64 product of the shell table with the distances.
     """
-    scores = np.zeros(g.node_count, dtype=np.float64)
-    undefined = np.zeros(g.node_count, dtype=bool)
-    for i, shells in enumerate(g.shell_counts):
-        total = sum(r * c for r, c in enumerate(shells))
-        if total == 0:
-            undefined[i] = True
-        else:
-            scores[i] = 1.0 / total
+    table = g.shell_table
+    totals = table @ np.arange(table.shape[1])
+    undefined = totals == 0
+    scores = np.divide(1.0, totals, out=np.zeros(g.node_count), where=~undefined)
     return ScoreVector(Measure.CC, scores, undefined)
 
 
@@ -191,7 +206,8 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     whichever are fewer. Both find the same DAG edges, so the direction
     moves only the cost. The counts are int64 and become Python ints within
     a block once they could reach 2**63, so each block runs once and the
-    results stay exact.
+    results stay exact. The blocks' numerators are summed in int64 while the
+    sum of their maxima stays below 2**63, and as Python ints from there on.
     """
     n = g.node_count
     width = max(1, min(n, _BLOCK_CONTACTS // max(g.edge_arrays[1].size, n, 1)))
@@ -199,12 +215,20 @@ def shortest_path_counts(g: Graph) -> tuple[list[int], int]:
     copies, heads = disjoint_copies(g, width)
     tails = np.repeat(np.arange(width * n), np.diff(copies))
     max_degree = int(np.diff(g.edge_arrays[0]).max(initial=0))
-    numerators = np.zeros(n, dtype=object)
+    numerators = np.zeros(n, dtype=np.int64)
     denominator = 0
+    # at least every numerator so far: the sum of the parts' maxima
+    bound = 0
     for first in range(0, n, width):
         sources = np.arange(first, min(first + width, n))
         part, share = _block_path_counts(n, copies, heads, tails, max_degree, sources)
-        numerators += part.astype(object)
+        bound += int(part.max(initial=0))
+        if part.dtype == object or bound >= _INT64_LIMIT:
+            # Python ints from here on, the parts too: an int64 part would add numpy scalars
+            bound = _INT64_LIMIT
+            numerators = numerators.astype(object, copy=False)
+            part = part.astype(object, copy=False)
+        numerators += part
         denominator += share
     return numerators.tolist(), denominator
 
@@ -417,19 +441,56 @@ def _lanczos_finish(adj_times, x: np.ndarray) -> np.ndarray:
 def _log_log_slopes(g: Graph, measure: Measure, counts_of) -> ScoreVector:
     """Per node, the slope of ln(counts[r - 1]) against ln(r) for r = 1..d_max.
 
-    ``counts_of`` maps a node's shell counts to its counts at radii
-    1..d_max. Nodes seeing fewer than two radii have no regression; they
-    are flagged undefined and carry sentinel score 0.
+    Nodes seeing fewer than two radii have no regression; they are flagged
+    undefined and carry sentinel score 0. The others are fitted in blocks of
+    nodes sorted by depth, each within ``_BLOCK_CELLS`` cells as wide as its
+    deepest node. ``counts_of`` maps a block's shell counts, one row per
+    distance 0..w and one column per node (zero past the node's d_max), to
+    its counts at radii 1..w, one row per radius.
+
+    Each slope has the bits of ``ols_slope`` on the node's own points: every
+    sum runs left to right from +0.0 (a ``cumsum`` down the radius rows, read
+    at the node's d_max), logs are ``math.log`` per value, and the mean of
+    ln 1..ln k and the squared deviations from it are computed once per depth
+    k in Python, since ``x ** 2`` (libm ``pow``) and ``x * x`` can differ.
     """
+    table = g.shell_table
+    depths = np.count_nonzero(table, axis=1) - 1
+    undefined = depths < 2
     scores = np.zeros(g.node_count, dtype=np.float64)
-    undefined = np.zeros(g.node_count, dtype=bool)
-    for i, shells in enumerate(g.shell_counts):
-        if len(shells) < 3:  # d_max < 2
-            undefined[i] = True
-            continue
-        xs = [math.log(r) for r in range(1, len(shells))]
-        ys = [math.log(c) for c in counts_of(shells)]
-        scores[i] = ols_slope(xs, ys)
+    fitted = np.flatnonzero(~undefined)
+    fitted = fitted[np.argsort(depths[fitted], kind="stable")]
+    xs = [math.log(r) for r in range(1, table.shape[1])]
+    x_bar = np.zeros(table.shape[1])
+    den = np.ones(table.shape[1])
+    for k in set(depths[fitted].tolist()):
+        mean = _sum(xs[:k]) / k
+        x_bar[k] = mean
+        den[k] = _sum((a - mean) ** 2 for a in xs[:k])
+    xs = np.array(xs)
+    start = 0
+    while start < fitted.size:
+        # the nodes sort by depth, so a block's width is its last node's
+        stop = min(fitted.size, start + max(1, _BLOCK_CELLS // (depths[fitted[start]] + 1)))
+        stop = min(stop, start + max(1, _BLOCK_CELLS // (depths[fitted[stop - 1]] + 1)))
+        block = fitted[start:stop]
+        k = depths[block]
+        w = int(k[-1])
+        counts = counts_of(table[block, : w + 1].T)
+        inside = np.arange(1, w + 1)[:, None] <= k
+        values = counts[inside].astype(np.float64, copy=False)
+        for first in range(0, values.size, _LOG_CHUNK):
+            chunk = values[first : first + _LOG_CHUNK]
+            chunk[:] = list(map(math.log, chunk.tolist()))
+        # row 0 is the +0.0 each sum starts from; row r holds radius r's terms
+        terms = np.zeros((w + 1, block.size))
+        terms[1:][inside] = values
+        nodes = np.arange(block.size)
+        y_bar = np.cumsum(terms, axis=0)[k, nodes] / k
+        deviations = (xs[:w, None] - x_bar[k]) * (terms[1:] - y_bar)
+        terms[1:] = np.where(inside, deviations, 0.0)
+        scores[block] = np.cumsum(terms, axis=0)[k, nodes] / den[k]
+        start = stop
     return ScoreVector(measure, scores, undefined)
 
 
@@ -438,6 +499,7 @@ def local_dimension(g: Graph) -> ScoreVector:
 
     For radii r = 1..d_max, fit ln(nodes within r) against ln(r); the slope
     is the node's local dimension. Nodes seeing fewer than two radii have
-    no regression and are flagged undefined.
+    no regression and are flagged undefined. The ball sizes are the shell
+    table's running sums, a block of nodes at a time.
     """
-    return _log_log_slopes(g, Measure.LD, lambda shells: list(accumulate(shells))[1:])
+    return _log_log_slopes(g, Measure.LD, lambda shells: np.cumsum(shells, axis=0)[1:])

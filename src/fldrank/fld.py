@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 from .centrality import Measure, ScoreVector, _log_log_slopes
 from .graph import Graph
 
@@ -51,27 +53,40 @@ def fuzzy_count_series(shell_counts: tuple[int, ...]) -> FuzzyCountSeries:
     membership summed over the nodes within r, divided by their real count;
     the center (distance 0, weight 1) is in both. Weights are summed shell
     by shell, left to right, so the result is bit-identical under any node
-    relabeling.
+    relabeling. This is the one-node case of ``fuzzy_local_dimension``'s
+    counts.
     """
-    return _series(shell_counts, _membership_table(len(shell_counts) - 1))
-
-
-def _membership_table(depth: int) -> list[list[float]]:
-    """``table[r - 1][d]`` is ``membership(d, r)``, for radii r = 1..depth and d = 0..r."""
-    return [[membership(d, r) for d in range(r + 1)] for r in range(1, depth + 1)]
-
-
-def _series(shell_counts: tuple[int, ...], table: list[list[float]]) -> FuzzyCountSeries:
-    """``fuzzy_count_series`` with the weights read from a table at least as deep."""
-    radii = tuple(range(1, len(shell_counts)))
+    depth = len(shell_counts) - 1
+    shells = np.array(shell_counts, dtype=np.int64).reshape(depth + 1, 1)
+    counts = _fuzzy_counts(shells, _membership_table(depth))[:, 0]
     reals = tuple(accumulate(shell_counts))[1:]
-    counts: list[float] = []
-    for weights, real in zip(table, reals):
-        total = 0.0
-        for shell, weight in zip(shell_counts, weights):  # d = 0..r
-            total += shell * weight
-        counts.append(total / real)
-    return FuzzyCountSeries(radii, tuple(counts), reals)
+    return FuzzyCountSeries(tuple(range(1, depth + 1)), tuple(counts.tolist()), reals)
+
+
+def _membership_table(depth: int) -> np.ndarray:
+    """``table[d, r - 1]`` is ``membership(d, r)`` for radii r = 1..depth and d = 0..r, else 0."""
+    table = np.zeros((depth + 1, depth))
+    for r in range(1, depth + 1):
+        table[: r + 1, r - 1] = [membership(d, r) for d in range(r + 1)]
+    return table
+
+
+def _fuzzy_counts(shells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Fuzzy counts at radii 1..w, one row per radius, of shell columns for distances 0..w.
+
+    ``weights`` is a ``_membership_table`` at least w deep. One multiply-add
+    per distance d adds shell d's count times ``membership(d, r)`` to every
+    radius r >= max(d, 1), so each (radius, column) sum runs over d
+    ascending from +0.0, as a left-to-right loop would: counts below 2**53
+    convert to float exactly, and a zero shell past a column's own depth
+    adds +0.0.
+    """
+    w = shells.shape[0] - 1
+    totals = np.zeros((w, shells.shape[1]))
+    for d in range(w + 1):
+        first = max(d, 1) - 1  # row of radius max(d, 1)
+        totals[first:] += np.multiply.outer(weights[d, first:w], shells[d])
+    return totals / np.cumsum(shells, axis=0)[1:]
 
 
 def fuzzy_local_dimension(g: Graph) -> ScoreVector:
@@ -82,7 +97,8 @@ def fuzzy_local_dimension(g: Graph) -> ScoreVector:
     Nodes seeing fewer than two radii cannot be fitted; they are flagged
     undefined and carry sentinel score 0, which keeps rankings total. The
     weights of every radius up to the deepest node's d_max are computed
-    once and shared by all nodes.
+    once and shared by all nodes; the counts are computed a block of nodes
+    at a time, across the block.
     """
-    table = _membership_table(max(map(len, g.shell_counts), default=1) - 1)
-    return _log_log_slopes(g, Measure.FLD, lambda shells: _series(shells, table).counts)
+    weights = _membership_table(g.shell_table.shape[1] - 1)
+    return _log_log_slopes(g, Measure.FLD, lambda shells: _fuzzy_counts(shells, weights))

@@ -87,6 +87,21 @@ class Graph:
         return all_distance_fields(self)
 
     @cached_property
+    def shell_table(self) -> np.ndarray:
+        """``shell_counts`` padded into one read-only (nodes x (depth + 1)) int64 array.
+
+        Row v holds node v's shell counts, then zeros up to the graph's
+        largest eccentricity ``depth``; a shell count is positive up to its
+        node's own eccentricity, so the row's nonzero count is that plus one.
+        """
+        shells = self.shell_counts
+        table = np.zeros((self.node_count, max(map(len, shells), default=1)), dtype=np.int64)
+        for row, counts in zip(table, shells):
+            row[: len(counts)] = counts
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def components(self) -> ComponentMap:
         """The connected components, labelled once per graph."""
         return connected_components(self)

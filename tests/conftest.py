@@ -13,11 +13,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from fldrank import UNREACHABLE, Graph, bfs_distances, replicate_rng
+from fldrank import UNREACHABLE, Graph, bfs_distances, membership, replicate_rng
 from fldrank.datasets import load_karate, load_kite
 
 
@@ -241,6 +243,79 @@ def closed_form_slope(x, y) -> float:
     sxy = sum(a * b for a, b in zip(x, y))
     sxx = sum(a * a for a in x)
     return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
+
+
+def loop_slope(xs, ys) -> float:
+    """``ols_slope``'s centered formula, each sum an explicit left-to-right loop."""
+    n = len(xs)
+    sum_x = sum_y = 0
+    for a, b in zip(xs, ys):
+        sum_x += a
+        sum_y += b
+    x_bar, y_bar = sum_x / n, sum_y / n
+    num = den = 0
+    for a, b in zip(xs, ys):
+        num += (a - x_bar) * (b - y_bar)
+        den += (a - x_bar) ** 2
+    return num / den
+
+
+def oracle_fuzzy_counts(shell_counts) -> list[float]:
+    """Fuzzy counts at radii 1..d_max of one node, by the per-node loop.
+
+    For each radius r, shell d's size times ``membership(d, r)``, summed
+    over d = 0..r left to right from 0.0, over the real count within r.
+    """
+    counts = []
+    for r in range(1, len(shell_counts)):
+        total = 0.0
+        for shell, weight in zip(shell_counts, _memberships(r)):  # d = 0..r
+            total += shell * weight
+        counts.append(total / sum(shell_counts[: r + 1]))
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _memberships(r: int) -> tuple[float, ...]:
+    """``membership(d, r)`` for d = 0..r."""
+    return tuple(membership(d, r) for d in range(r + 1))
+
+
+def oracle_ball_sizes(shell_counts) -> list[int]:
+    """Nodes within radius r of one node, for r = 1..d_max."""
+    return list(accumulate(shell_counts))[1:]
+
+
+def oracle_log_log_slopes(g: Graph, counts_of) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, ``loop_slope`` of ln(counts) on ln(radius), and the undefined mask.
+
+    The per-node loop behind ld (``counts_of`` = ``oracle_ball_sizes``) and
+    fld (``oracle_fuzzy_counts``): a node seeing fewer than two radii is
+    undefined with score 0.
+    """
+    scores = np.zeros(g.node_count)
+    undefined = np.zeros(g.node_count, dtype=bool)
+    for i in range(g.node_count):
+        shells = bfs_distances(g, i).shell_counts
+        if len(shells) < 3:
+            undefined[i] = True
+            continue
+        xs = [math.log(r) for r in range(1, len(shells))]
+        scores[i] = loop_slope(xs, [math.log(c) for c in counts_of(shells)])
+    return scores, undefined
+
+
+def oracle_closeness(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, 1 / (summed hop distances within its component), and the undefined mask."""
+    scores = np.zeros(g.node_count)
+    undefined = np.zeros(g.node_count, dtype=bool)
+    for i in range(g.node_count):
+        total = sum(d for d in bfs_distances(g, i).dist if d != UNREACHABLE)
+        if total == 0:
+            undefined[i] = True
+        else:
+            scores[i] = 1.0 / total
+    return scores, undefined
 
 
 def brute_force_tau(w, v) -> tuple[int, int]:

@@ -16,6 +16,11 @@ from conftest import (
     diamond_chain,
     grid_graph,
     ladder_graph,
+    loop_slope,
+    oracle_ball_sizes,
+    oracle_closeness,
+    oracle_fuzzy_counts,
+    oracle_log_log_slopes,
     oracle_path_counts,
     path_graph,
     random_graph,
@@ -223,6 +228,29 @@ def test_path_counts_rerun_exactly_past_int64(karate, monkeypatch, links):
     dtypes.clear()
     shortest_path_counts(karate)
     assert object not in dtypes
+
+
+def test_block_sums_widen_to_python_ints_past_int64(monkeypatch):
+    # one source per block of path(60), each int64 part raised by 2**62:
+    # the parts stay int64, and their sums pass 2**63 from the second block
+    offset = 2**62
+    dtypes = []
+    block = centrality._block_path_counts
+
+    def raised(*args):
+        part, share = block(*args)
+        dtypes.append(part.dtype)
+        return part + offset, share
+
+    monkeypatch.setattr(centrality, "_BLOCK_CONTACTS", 1)
+    monkeypatch.setattr(centrality, "_block_path_counts", raised)
+    g = path_graph(60)
+    numerators, denominator = shortest_path_counts(g)
+    expected, paths = oracle_path_counts(g)
+    assert set(dtypes) == {np.dtype(np.int64)} and len(dtypes) == g.node_count
+    assert numerators == [count + offset * g.node_count for count in expected]
+    assert denominator == paths
+    assert all(type(c) is int for c in numerators)
 
 
 def test_path_counts_expand_fewer_contacts_than_every_source_top_down(monkeypatch):
@@ -492,38 +520,50 @@ def test_ols_slope_matches_closed_form(points):
     assert ols_slope(xs, ys) == pytest.approx(closed_form_slope(xs, ys), abs=1e-9, rel=1e-9)
 
 
-def loop_slope(xs, ys) -> float:
-    """``ols_slope``'s centered formula, each sum an explicit left-to-right loop."""
-    n = len(xs)
-    sum_x = sum_y = 0
-    for a, b in zip(xs, ys):
-        sum_x += a
-        sum_y += b
-    x_bar, y_bar = sum_x / n, sum_y / n
-    num = den = 0
-    for a, b in zip(xs, ys):
-        num += (a - x_bar) * (b - y_bar)
-        den += (a - x_bar) ** 2
-    return num / den
-
-
-def test_ols_slope_has_the_same_bits_on_every_python(kite, karate, monkeypatch):
+def test_ols_slope_has_the_same_bits_on_every_python(kite, karate):
     # the built-in sum() of floats is compensated from Python 3.12 on, which
-    # moves the last bits of many ld and fld scores
-    regressions = []
-    slope = centrality.ols_slope
+    # moves the last bits of many ld and fld scores: every score, and
+    # ols_slope, must have the bits of a left-to-right loop over the node's
+    # own points
+    graphs = (kite, karate, barabasi_albert_graph(200, 3, 0), path_graph(300), grid_graph(12, 12))
+    for g in graphs:
+        ld, fld = local_dimension(g), fuzzy_local_dimension(g)
+        for i, shells in enumerate(g.shell_counts):
+            if len(shells) < 3:
+                continue
+            xs = [math.log(r) for r in range(1, len(shells))]
+            for sv, counts in ((ld, oracle_ball_sizes(shells)), (fld, oracle_fuzzy_counts(shells))):
+                ys = [math.log(c) for c in counts]
+                slope = loop_slope(xs, ys).hex()
+                assert sv.scores[i].hex() == slope, (sv.measure, g.node_labels[i])
+                assert ols_slope(xs, ys).hex() == slope
 
-    def spy(xs, ys):
-        regressions.append((xs, ys))
-        return slope(xs, ys)
 
-    monkeypatch.setattr(centrality, "ols_slope", spy)
-    for g in (kite, karate):
-        local_dimension(g)
-        fuzzy_local_dimension(g)
-    assert len(regressions) == 2 * (kite.node_count + karate.node_count)
-    for xs, ys in regressions:
-        assert slope(xs, ys).hex() == loop_slope(xs, ys).hex()
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    p=st.floats(0.0, 0.25),
+    extra=st.integers(0, 3),
+)
+def test_shell_table_measures_match_the_per_node_oracles(seed, n, p, extra):
+    # G(n, p) at these rates has isolated nodes and several components of
+    # mixed depths; a budget of 1 cell fits one node per block, 8 a few
+    rng = np.random.default_rng(seed)
+    edges = [(str(i), str(j)) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    g = Graph.build(edges, nodes=[*map(str, range(n)), *(f"x{k}" for k in range(extra))])
+    expected = {
+        Measure.CC: oracle_closeness(g),
+        Measure.LD: oracle_log_log_slopes(g, oracle_ball_sizes),
+        Measure.FLD: oracle_log_log_slopes(g, oracle_fuzzy_counts),
+    }
+    for budget in (1, 8, centrality._BLOCK_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(centrality, "_BLOCK_CELLS", budget)
+            for measure, (scores, undefined) in expected.items():
+                sv = compute_measure(g, measure)
+                assert sv.scores.tobytes() == scores.tobytes(), (measure, budget)
+                assert np.array_equal(sv.undefined, undefined), (measure, budget)
 
 
 def test_ols_slope_rejects_bad_input():

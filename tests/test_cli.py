@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -589,3 +592,31 @@ def test_manifest_goes_to_stderr_without_out(capsys):
     manifest = json.loads(err)
     assert manifest["command"] == "rank"
     assert manifest["input"]["sha256"]
+
+
+def test_measures_and_rankings_import_nothing_past_the_cli():
+    # a module first imported mid-run (numpy.ma, say, by np.unique) adds its
+    # import time and memory to every CLI run; the edge list is parsed first,
+    # since its decoder loads a codec
+    probe = """
+import sys
+from pathlib import Path
+
+import fldrank.cli as cli
+
+g = cli.parse_edge_list(Path(sys.argv[1]).read_bytes())
+loaded = set(sys.modules)
+for measure in cli.Measure:
+    cli.rank_nodes(cli.compute_measure(g, measure), g.node_labels)
+print(sorted(set(sys.modules) - loaded))
+"""
+    src = str(Path(fldrank.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(karate_path())],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -256,6 +256,12 @@ def test_shell_counts_across_word_boundaries(n):
         assert 1 in comp.component_sizes
         assert sum(size > 1 for size in comp.component_sizes) > 1
     assert g.shell_counts == tuple(bfs_distances(g, s).shell_counts for s in range(n))
+    # the padded table: each node's shell counts, then zeros
+    table = g.shell_table
+    assert not table.flags.writeable
+    assert table.shape == (n, max(map(len, g.shell_counts), default=1))
+    for row, shells in zip(table.tolist(), g.shell_counts):
+        assert tuple(row[: len(shells)]) == shells and not any(row[len(shells) :])
 
 
 @pytest.mark.parametrize("g", [path_graph(130), cycle_graph(65)], ids=["path130", "cycle65"])
