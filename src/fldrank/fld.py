@@ -54,8 +54,10 @@ def fuzzy_count_series(shell_counts: tuple[int, ...]) -> FuzzyCountSeries:
     the center (distance 0, weight 1) is in both. Weights are summed shell
     by shell, left to right, so the result is bit-identical under any node
     relabeling. This is the one-node case of ``fuzzy_local_dimension``'s
-    counts.
+    counts. The counts must start with 1 and be positive.
     """
+    if len(shell_counts) == 0 or shell_counts[0] != 1 or min(shell_counts) < 1:
+        raise ValueError(f"shell counts must start with 1 and be positive: {shell_counts!r}")
     depth = len(shell_counts) - 1
     shells = np.array(shell_counts, dtype=np.int64).reshape(depth + 1, 1)
     counts = _fuzzy_counts(shells, _membership_table(depth))[:, 0]

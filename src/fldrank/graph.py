@@ -82,24 +82,9 @@ class Graph:
         return {label: i for i, label in enumerate(self.node_labels)}
 
     @cached_property
-    def shell_counts(self) -> tuple[tuple[int, ...], ...]:
-        """Per source node, the number of nodes at each hop distance 0..eccentricity."""
-        return all_distance_fields(self)
-
-    @cached_property
     def shell_table(self) -> np.ndarray:
-        """``shell_counts`` padded into one read-only (nodes x (depth + 1)) int64 array.
-
-        Row v holds node v's shell counts, then zeros up to the graph's
-        largest eccentricity ``depth``; a shell count is positive up to its
-        node's own eccentricity, so the row's nonzero count is that plus one.
-        """
-        shells = self.shell_counts
-        table = np.zeros((self.node_count, max(map(len, shells), default=1)), dtype=np.int64)
-        for row, counts in zip(table, shells):
-            row[: len(counts)] = counts
-        table.setflags(write=False)
-        return table
+        """Every node's shell counts, from one ``all_distance_fields`` pass per graph."""
+        return all_distance_fields(self)
 
     @cached_property
     def components(self) -> ComponentMap:
@@ -213,15 +198,19 @@ def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
     return order
 
 
-def all_distance_fields(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """One BFS per node, keeping only its shell counts; indexed by source ID.
+def all_distance_fields(g: Graph) -> np.ndarray:
+    """One BFS per node, keeping only its shell counts, as one padded table.
+
+    Row s of the read-only (nodes x (depth + 1)) int64 table is
+    ``bfs_distances(g, s).shell_counts``, then zeros up to the graph's
+    largest eccentricity ``depth``; a shell count is positive up to its
+    node's own eccentricity, so the row's nonzero count is that plus one.
 
     Sources run 64 at a time as the bits of one uint64 per node (a
     multi-source BFS in the manner of Then et al., VLDB 2014): each level
     ORs every node's neighbor frontiers over the CSR contact arrays, and a
     source's shell count at that level is the number of nodes newly
-    reached with its bit set. The result equals ``bfs_distances(g,
-    s).shell_counts`` for every source s.
+    reached with its bit set.
 
     A level scans every contact, however small its frontier, so a block
     costs its level count times the contacts, against 64 times the contacts
@@ -229,7 +218,7 @@ def all_distance_fields(g: Graph) -> tuple[tuple[int, ...], ...]:
     a block runs deeper than ``_MAX_WORD_LEVELS`` (a long path, a large
     grid), it and the remaining sources run as single-source BFS instead.
 
-    Read it through the cached ``Graph.shell_counts`` rather than calling it
+    Read it through the cached ``Graph.shell_table`` rather than calling it
     directly, so a graph pays for the pass once.
     """
     n = g.node_count
@@ -238,31 +227,42 @@ def all_distance_fields(g: Graph) -> tuple[tuple[int, ...], ...]:
     # none, and reduceat would misread an empty segment)
     owners = np.flatnonzero(np.diff(offsets))
     starts = offsets[owners]
-    shells: list[tuple[int, ...]] = []
+    table = np.zeros((n, 1), dtype=np.int64)
+    depth = 0
     deep = False
     for first in range(0, n, _WORD_BITS):
         stop = min(first + _WORD_BITS, n)
-        block = None
-        if not deep:
-            block = _word_block_shells(n, first, stop - first, owners, starts, targets)
+        block = None if deep else _word_block_shells(n, first, stop, owners, starts, targets)
         if block is None:
             deep = True
-            block = [bfs_distances(g, s).shell_counts for s in range(first, stop)]
-        shells.extend(block)
-    return tuple(shells)
+            shells = [bfs_distances(g, s).shell_counts for s in range(first, stop)]
+            longest = max(map(len, shells))
+            block = np.array([c + (0,) * (longest - len(c)) for c in shells], dtype=np.int64)
+        depth = max(depth, block.shape[1] - 1)
+        if depth >= table.shape[1]:
+            # a widening copies the table; past the word pass, where the depth
+            # may grow block by block, at least doubling keeps the copies few
+            width = min(max(depth + 1, 2 * table.shape[1] if deep else 0), n)
+            table = np.pad(table, ((0, 0), (0, width - table.shape[1])))
+        table[first:stop, : block.shape[1]] = block
+    table = np.ascontiguousarray(table[:, : depth + 1])
+    table.setflags(write=False)
+    return table
 
 
 def _word_block_shells(
-    n: int, first: int, width: int, owners: np.ndarray, starts: np.ndarray, targets: np.ndarray
-) -> list[tuple[int, ...]] | None:
-    """Shell counts of sources first..first+width-1 (width <= 64), one bit each.
+    n: int, first: int, stop: int, owners: np.ndarray, starts: np.ndarray, targets: np.ndarray
+) -> np.ndarray | None:
+    """Shell counts of sources first..stop-1 (at most 64), one bit each.
 
-    None once the block runs deeper than ``_MAX_WORD_LEVELS`` levels.
+    One row per source, one column per hop distance up to the block's
+    deepest source, zero past each source's own eccentricity; None once the
+    block runs deeper than ``_MAX_WORD_LEVELS`` levels.
     """
     seen = np.zeros(n, dtype=np.uint64)
-    seen[first : first + width] = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
+    seen[first:stop] = np.left_shift(np.uint64(1), np.arange(stop - first, dtype=np.uint64))
     frontier = seen.copy()
-    levels: list[np.ndarray] = []
+    levels = [np.ones(_WORD_BITS, dtype=np.int64)]  # distance 0: the source itself
     while owners.size:
         reached = np.zeros(n, dtype=np.uint64)
         reached[owners] = np.bitwise_or.reduceat(frontier[targets], starts)
@@ -270,17 +270,12 @@ def _word_block_shells(
         hit = frontier[frontier != 0]
         if hit.size == 0:
             break
-        if len(levels) == _MAX_WORD_LEVELS:
+        if len(levels) > _MAX_WORD_LEVELS:
             return None
         seen |= frontier
         bits = np.unpackbits(hit.astype("<u8").view(np.uint8), bitorder="little")
         levels.append(bits.reshape(hit.size, _WORD_BITS).sum(axis=0, dtype=np.int64))
-    counts = np.array(levels, dtype=np.int64).reshape(len(levels), _WORD_BITS)
-    block = []
-    for column in counts.T[:width].tolist():
-        depth = sum(1 for c in column if c)
-        block.append((1, *column[:depth]))
-    return block
+    return np.array(levels).T[: stop - first]
 
 
 def contact_ids(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +320,7 @@ def connected_components(g: Graph) -> ComponentMap:
 
 def diameter(g: Graph) -> int:
     """Largest finite eccentricity over all nodes; 0 for an empty graph."""
-    return max((len(shells) - 1 for shells in g.shell_counts), default=0)
+    return g.shell_table.shape[1] - 1
 
 
 def double_sweep_depth(g: Graph, source: int) -> int:

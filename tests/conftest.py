@@ -143,6 +143,27 @@ def scores_by_label(g: Graph, sv) -> dict[str, float | None]:
     }
 
 
+def shell_rows(g: Graph) -> list[tuple[int, ...]]:
+    """Each node's shell counts as the shell table holds them: its row cut at its depth."""
+    return [tuple(row[: np.count_nonzero(row)]) for row in g.shell_table.tolist()]
+
+
+def check_shell_table(g: Graph) -> list[tuple[int, ...]]:
+    """Assert that row s of the shell table is ``bfs_distances(g, s).shell_counts``, then zeros.
+
+    Also checks the table's shape, dtype and read-only flag, and returns the
+    reference shell counts.
+    """
+    references = [bfs_distances(g, s).shell_counts for s in range(g.node_count)]
+    table = g.shell_table
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.shape == (g.node_count, max(map(len, references), default=1))
+    for row, shells in zip(table.tolist(), references):
+        assert tuple(row[: len(shells)]) == shells
+        assert not any(row[len(shells) :])
+    return references
+
+
 def brute_force_path_counts(g: Graph) -> tuple[list[int], int]:
     """Shortest-path counting by explicit enumeration of every path.
 

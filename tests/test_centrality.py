@@ -26,6 +26,7 @@ from conftest import (
     random_graph,
     relabeled,
     scores_by_label,
+    shell_rows,
     star_graph,
 )
 import fldrank.centrality as centrality
@@ -528,7 +529,7 @@ def test_ols_slope_has_the_same_bits_on_every_python(kite, karate):
     graphs = (kite, karate, barabasi_albert_graph(200, 3, 0), path_graph(300), grid_graph(12, 12))
     for g in graphs:
         ld, fld = local_dimension(g), fuzzy_local_dimension(g)
-        for i, shells in enumerate(g.shell_counts):
+        for i, shells in enumerate(shell_rows(g)):
             if len(shells) < 3:
                 continue
             xs = [math.log(r) for r in range(1, len(shells))]

@@ -14,6 +14,7 @@ from conftest import (
     random_graph,
     relabeled,
     scores_by_label,
+    shell_rows,
 )
 from fldrank import (
     Graph,
@@ -75,11 +76,23 @@ def test_membership_monotonic(d, eps):
 
 
 def test_fuzzy_counts_around_kite_center(kite):
-    series = fuzzy_count_series(kite.shell_counts[kite.label_to_id["7"]])
+    series = fuzzy_count_series(shell_rows(kite)[kite.label_to_id["7"]])
     expected = {1: (0.4582, 7), 2: (0.7551, 8), 3: (0.8198, 9), 4: (0.8353, 10)}
     for r, (value, real) in expected.items():
         assert series.counts[r - 1] == pytest.approx(value, abs=1e-4)
         assert series.real_counts[r - 1] == real
+
+
+@pytest.mark.parametrize(
+    "shells",
+    [(), (1, 2, 0), (0,), (2, 1), (1, -1)],
+    ids=["empty", "padded-row", "no-center", "two-centers", "negative"],
+)
+def test_fuzzy_count_series_rejects_what_no_node_has(shells):
+    # a center sees itself at distance 0, and every shell up to its depth is
+    # occupied: a padded table row's trailing zeros would add phantom radii
+    with pytest.raises(ValueError, match="must start with 1 and be positive"):
+        fuzzy_count_series(shells)
 
 
 def test_series_shape_and_invariants(kite):
@@ -142,7 +155,7 @@ def test_scores_are_the_slopes_of_each_nodes_own_series_bit_for_bit(karate):
     clique = [(str(i), str(j)) for i in range(5) for j in range(i + 1, 5)]
     for g in (karate, Graph.build(clique + tail + [("4", "t0")], nodes=["x"])):
         sv = fuzzy_local_dimension(g)
-        for i, shells in enumerate(g.shell_counts):
+        for i, shells in enumerate(shell_rows(g)):
             if len(shells) < 3:
                 assert sv.undefined[i]
                 continue

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fldrank.graph
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import check_shell_table, cycle_graph, path_graph, random_graph
 from fldrank import (
     UNREACHABLE,
     EdgeListError,
@@ -236,7 +236,8 @@ def test_bfs_invariants_on_random_graphs(seed, n, p):
         for j in range(n):
             assert fields[i].dist[j] == fields[j].dist[i]
     for s in range(n):
-        assert g.shell_counts[s] == fields[s].shell_counts
+        row, shells = g.shell_table[s].tolist(), fields[s].shell_counts
+        assert tuple(row[: len(shells)]) == shells and not any(row[len(shells) :])
         assert fields[s].dist[s] == 0
         assert sum(fields[s].shell_counts) == comp.component_sizes[comp.component_id[s]]
         for v in range(n):
@@ -246,29 +247,55 @@ def test_bfs_invariants_on_random_graphs(seed, n, p):
                     assert abs(du - dv) <= 1
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
-def test_shell_counts_across_word_boundaries(n):
+def _rebuilt(g: Graph, order) -> Graph:
+    """A fresh copy of ``g``, its nodes interned in ``order``."""
+    edges = [(g.node_labels[v], g.node_labels[u]) for v in order for u in g.adjacency[v]]
+    return Graph.build(edges, nodes=[g.node_labels[v] for v in order])
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130, 200])
+def test_shell_counts_across_word_boundaries(monkeypatch, n):
     # sources run 64 to a word; sparse random graphs add isolated nodes and
-    # several components
-    g = random_graph(np.random.default_rng(n), n, 1.5 / max(n, 1))
+    # several components. Below the real level limit, a block deeper than
+    # the limit and every block after it fall back to single-source BFS; in
+    # order of eccentricity the shallow blocks come first, so word blocks
+    # and fallback blocks mix (at n = 200, limits 1 and 2)
+    drawn = random_graph(np.random.default_rng(n), n, 1.5 / max(n, 1))
     if n >= 63:
-        comp = connected_components(g)
+        comp = connected_components(drawn)
         assert 1 in comp.component_sizes
         assert sum(size > 1 for size in comp.component_sizes) > 1
-    assert g.shell_counts == tuple(bfs_distances(g, s).shell_counts for s in range(n))
-    # the padded table: each node's shell counts, then zeros
-    table = g.shell_table
-    assert not table.flags.writeable
-    assert table.shape == (n, max(map(len, g.shell_counts), default=1))
-    for row, shells in zip(table.tolist(), g.shell_counts):
-        assert tuple(row[: len(shells)]) == shells and not any(row[len(shells) :])
+    real = fldrank.graph.bfs_distances
+    calls = []
+    monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
+    by_depth = sorted(range(n), key=lambda s: real(drawn, s).d_max)
+    for levels in (fldrank.graph._MAX_WORD_LEVELS, 1, 2):
+        monkeypatch.setattr(fldrank.graph, "_MAX_WORD_LEVELS", levels)
+        for order in (range(n), by_depth):
+            g = _rebuilt(drawn, order)
+            calls.clear()
+            depths = [len(shells) - 1 for shells in check_shell_table(g)]
+            deep = [first for first in range(0, n, 64) if max(depths[first : first + 64]) > levels]
+            assert calls == list(range(deep[0] if deep else n, n))
 
 
 @pytest.mark.parametrize("g", [path_graph(130), cycle_graph(65)], ids=["path130", "cycle65"])
 def test_shell_counts_on_long_paths_across_words(g):
-    assert g.shell_counts == tuple(
-        bfs_distances(g, s).shell_counts for s in range(g.node_count)
-    )
+    check_shell_table(g)
+
+
+@pytest.mark.parametrize("n, fallbacks", [(513, 0), (514, 514)])
+def test_word_pass_runs_up_to_its_level_limit(monkeypatch, n, fallbacks):
+    # a path's end node 0 has eccentricity n - 1: 512 levels stay in the word
+    # pass, and 513 send the first block, and so every source, to
+    # single-source BFS
+    assert fldrank.graph._MAX_WORD_LEVELS == 512
+    g = path_graph(n)
+    real = fldrank.graph.bfs_distances
+    calls = []
+    monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
+    check_shell_table(g)
+    assert calls == list(range(n - fallbacks, n))
 
 
 def test_shell_pass_falls_back_to_bfs_from_the_first_deep_block(monkeypatch):
@@ -280,7 +307,7 @@ def test_shell_pass_falls_back_to_bfs_from_the_first_deep_block(monkeypatch):
     real = fldrank.graph.bfs_distances
     calls = []
     monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
-    assert g.shell_counts == tuple(real(g, s).shell_counts for s in range(g.node_count))
+    check_shell_table(g)  # reads the reference through its own name, not the spied one
     assert calls == list(range(64, g.node_count))
 
 

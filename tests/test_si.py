@@ -324,11 +324,15 @@ def test_a_run_past_the_sweep_bound_falls_back_to_the_exact_cap(monkeypatch):
 @pytest.mark.parametrize(
     "build", [load_karate, lambda: barabasi_albert_graph(200, 3, seed=0)], ids=["karate", "ba200"]
 )
-def test_a_run_within_the_sweep_bound_runs_no_all_sources_pass(build):
+def test_a_run_within_the_sweep_bound_runs_no_all_sources_pass(monkeypatch, build):
     g, h = build(), build()  # h runs the exact cap on a graph of its own
+    real = fldrank.graph.all_distance_fields
+    calls = []
+    monkeypatch.setattr(fldrank.graph, "all_distance_fields", lambda g: calls.append(g) or real(g))
     cfg = SiConfig(lam=0.5, seeds=(0,), replicates=20, rng_seed=4)
     table = replicate_counts(g, cfg)
-    assert "shell_counts" not in g.__dict__
+    assert calls == []
+    assert "shell_table" not in g.__dict__
     capped = SiConfig(
         lam=0.5, seeds=(0,), replicates=20, max_steps=10 * max(diameter(h), 1), rng_seed=4
     )
@@ -751,14 +755,14 @@ def test_mean_count_matches_the_exact_tree_mean(build, n, lam, t, labels):
     for label in labels:
         node = g.label_to_id[label]
         counts = final_counts(g, node, lam, t, EXACT_REPLICATES)
-        z = z_score(counts, oracle_tree_mean(g.shell_counts[node], t, lam))
+        z = z_score(counts, oracle_tree_mean(bfs_distances(g, node).shell_counts, t, lam))
         assert abs(z) <= Z_BOUND, (label, z)
 
 
 def test_mean_count_is_at_least_the_tree_bound(karate):
     for node in range(karate.node_count):
         counts = final_counts(karate, node, 0.1, 5, BOUND_REPLICATES)
-        z = z_score(counts, oracle_tree_mean(karate.shell_counts[node], 5, 0.1))
+        z = z_score(counts, oracle_tree_mean(bfs_distances(karate, node).shell_counts, 5, 0.1))
         assert z >= -Z_BOUND, (karate.node_labels[node], z)
 
 
@@ -786,7 +790,7 @@ def test_mean_count_is_at_least_the_tree_bound_on_ba200():
     g = barabasi_albert_graph(200, 3, seed=0)
     for node in range(0, g.node_count, 4):
         counts = final_counts(g, node, 0.1, 5, BOUND_REPLICATES)
-        z = z_score(counts, oracle_tree_mean(g.shell_counts[node], 5, 0.1))
+        z = z_score(counts, oracle_tree_mean(bfs_distances(g, node).shell_counts, 5, 0.1))
         assert z >= -Z_BOUND, (g.node_labels[node], z)
 
 
@@ -801,7 +805,7 @@ def test_rate_one_count_is_the_cumulative_shell_count(karate):
     ]
     for g, t in graphs:
         for node in range(0, g.node_count, 7):
-            shells = g.shell_counts[node]
+            shells = bfs_distances(g, node).shell_counts
             reach = sum(shells[: t + 1])
             assert final_counts(g, node, 1.0, t, 3).tolist() == [reach] * 3
             # both bounds are exact at rate 1, on any graph
