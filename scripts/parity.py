@@ -11,8 +11,11 @@ BA(300, 3), path(300) and 12x12 grid graphs. On every graph the matrix runs
 for each measure. Three more runs take one graph each: on karate, ``si``
 with 150 replicates (two SI batches of unequal length) and ``tau`` on the
 default grid; on kite, ``si --top`` past the node count, an error path.
-A generated path(1000), deep enough for fld's and ld's node blocks to run
-at many widths, runs only ``rank`` with ld and with fld.
+Two generated graphs run only ``rank``: path(1000), deep enough for fld's
+and ld's node blocks to run at many widths, with ld and with fld; and a
+path(600) followed by BA(300, 3), whose path blocks run the all-sources
+pass as single-source BFS while the BA blocks after them run it as words,
+with cc, ld and fld.
 Each run's rows, manifest, stdout, stderr and exit code are compared. Every
 difference is printed, and the script exits 1 if there is any, 0 otherwise
 (2 if BASE cannot be unpacked). The two trees of a run run side by side.
@@ -56,7 +59,10 @@ ON_ONE_GRAPH = {
     },
 }
 # graphs that run only their own commands, not the matrix
-ONLY_ON_GRAPH = {"path1000": {f"rank-{m}": ["rank", "--measure", m] for m in ("ld", "fld")}}
+ONLY_ON_GRAPH = {
+    "path1000": {f"rank-{m}": ["rank", "--measure", m] for m in ("ld", "fld")},
+    "path600ba300": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
+}
 
 
 def ba_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
@@ -81,6 +87,8 @@ def write_inputs(folder: Path) -> dict[str, Path]:
         "ba300": [f"{a} {b}" for a, b in ba_edges(300, 3, 0)],
         "path300": [f"{i} {i + 1}" for i in range(299)],
         "path1000": [f"{i} {i + 1}" for i in range(999)],
+        "path600ba300": [f"p{i} p{i + 1}" for i in range(599)]
+        + [f"b{a} b{b}" for a, b in ba_edges(300, 3, 0)],
         "grid12": [
             f"{i},{j} {a},{b}"
             for i in range(12)

@@ -214,9 +214,11 @@ def all_distance_fields(g: Graph) -> np.ndarray:
 
     A level scans every contact, however small its frontier, so a block
     costs its level count times the contacts, against 64 times the contacts
-    for 64 single-source searches. That pays on small-diameter graphs; once
-    a block runs deeper than ``_MAX_WORD_LEVELS`` (a long path, a large
-    grid), it and the remaining sources run as single-source BFS instead.
+    for 64 single-source searches. That pays on small-diameter graphs; a
+    block that runs deeper than ``_MAX_WORD_LEVELS`` (a long path, a large
+    grid) runs as single-source BFS instead. Its sources' eccentricities
+    mark the components that hold a source past the limit, and a later
+    block whose sources all lie in marked components skips the word pass.
 
     Read it through the cached ``Graph.shell_table`` rather than calling it
     directly, so a graph pays for the pass once.
@@ -229,13 +231,17 @@ def all_distance_fields(g: Graph) -> np.ndarray:
     starts = offsets[owners]
     table = np.zeros((n, 1), dtype=np.int64)
     depth = 0
-    deep = False
+    deep: set[int] = set()  # components with a source past the word pass's level limit
     for first in range(0, n, _WORD_BITS):
         stop = min(first + _WORD_BITS, n)
-        block = None if deep else _word_block_shells(n, first, stop, owners, starts, targets)
+        block = None
+        if not (deep and deep.issuperset(g.components.component_id[first:stop])):
+            block = _word_block_shells(n, first, stop, owners, starts, targets)
         if block is None:
-            deep = True
-            shells = [bfs_distances(g, s).shell_counts for s in range(first, stop)]
+            fields = [bfs_distances(g, s) for s in range(first, stop)]
+            component = g.components.component_id
+            deep.update(component[f.source] for f in fields if f.d_max > _MAX_WORD_LEVELS)
+            shells = [f.shell_counts for f in fields]
             longest = max(map(len, shells))
             block = np.array([c + (0,) * (longest - len(c)) for c in shells], dtype=np.int64)
         depth = max(depth, block.shape[1] - 1)

@@ -133,40 +133,22 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _words(value: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative integer (0 is one word)."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("seed must be non-negative")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
 def _seed_state(entropy: int, keys: np.ndarray, n_words: int) -> np.ndarray:
     """``SeedSequence(entropy, spawn_key=(k,)).generate_state(n_words)`` per uint32 key k.
 
-    numpy's hash as an (n_words, len(keys)) uint32 array: the entropy mixes
-    once, then the key's rounds and the output's run as one array pass each.
-    Every value is kept below 2**32 before it meets an array, so the uint32
-    arithmetic wraps alike under numpy 1.x value-based casting and NEP 50.
+    numpy's hash as an (n_words, len(keys)) uint32 array. numpy mixes the
+    entropy into the pool once: a spawn key pads entropy shorter than the
+    pool with zero words, which the unkeyed pool's fill hashes too, so every
+    key's pool starts from the unkeyed one. The key's rounds and the
+    output's then run as one array pass each. Every value is kept below
+    2**32 before it meets an array, so the uint32 arithmetic wraps alike
+    under numpy 1.x value-based casting and NEP 50.
     """
-    # entropy shorter than the pool is padded with zeros, and the key follows it
-    run = _words(entropy)
-    run += [0] * (4 - len(run))
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32) & _MASK32
-        return value ^ value >> 16
+    pool = np.random.SeedSequence(entropy).pool[:, None]
+    # filling and cross-mixing the pool take 16 hash steps, each uint32 word
+    # of entropy past the pool 4 more
+    words = -(-operator.index(entropy).bit_length() // 32)
+    h = _INIT_A * pow(_MULT_A, 4 * max(4, words), 2**32) & _MASK32
 
     def steps(h, mult, rounds):
         """The hash constant at each of ``rounds`` + 1 steps from ``h``, as a uint32 column."""
@@ -175,18 +157,11 @@ def _seed_state(entropy: int, keys: np.ndarray, n_words: int) -> np.ndarray:
             hs.append(hs[-1] * mult & _MASK32)
         return np.array(hs, dtype=np.uint32)[:, None]
 
-    pool = [hashmix(w) for w in run[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in run[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
     # the key's four rounds, one per pool word, then the output's rounds
     hs = steps(h, _MULT_A, 4)
     value = (keys ^ hs[:-1]) * hs[1:]
-    pool = mix(np.array(pool, dtype=np.uint32)[:, None], value ^ value >> 16)
+    pool = pool * _MIX_MULT_L - (value ^ value >> 16) * _MIX_MULT_R
+    pool ^= pool >> 16
     hs = steps(_INIT_B, _MULT_B, n_words)
     value = (pool[np.arange(n_words) % 4] ^ hs[:-1]) * hs[1:]
     return value ^ value >> 16

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fldrank.graph
-from conftest import check_shell_table, cycle_graph, path_graph, random_graph
+from conftest import (
+    barabasi_albert_graph,
+    check_shell_table,
+    cycle_graph,
+    path_graph,
+    random_graph,
+)
 from fldrank import (
     UNREACHABLE,
     EdgeListError,
@@ -253,30 +259,84 @@ def _rebuilt(g: Graph, order) -> Graph:
     return Graph.build(edges, nodes=[g.node_labels[v] for v in order])
 
 
+def _shell_pass_plan(g: Graph, depths: list[int], levels: int) -> tuple[list[int], list[int]]:
+    """The first source of each block the shell pass tries as a word, and the sources it BFSes.
+
+    A 64-source block falls back to single-source BFS when one of its
+    sources lies deeper than ``levels``; it skips the word pass when every
+    one of its sources lies in a component where an earlier fallback block
+    found a source that deep.
+    """
+    comp = connected_components(g).component_id
+    deep: set[int] = set()
+    tried: list[int] = []
+    fallbacks: list[int] = []
+    for first in range(0, g.node_count, 64):
+        block = range(first, min(first + 64, g.node_count))
+        if not deep.issuperset(comp[s] for s in block):
+            tried.append(first)
+            if max(depths[s] for s in block) <= levels:
+                continue
+        fallbacks += block
+        deep.update(comp[s] for s in block if depths[s] > levels)
+    return tried, fallbacks
+
+
+def _spy_on_shell_pass(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the first source of each word block, and each single-source BFS, of the shell pass."""
+    tried, calls = [], []
+    word, real = fldrank.graph._word_block_shells, fldrank.graph.bfs_distances
+
+    def word_block(n, first, *rest):
+        tried.append(first)
+        return word(n, first, *rest)
+
+    monkeypatch.setattr(fldrank.graph, "_word_block_shells", word_block)
+    monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
+    return tried, calls
+
+
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130, 200])
 def test_shell_counts_across_word_boundaries(monkeypatch, n):
     # sources run 64 to a word; sparse random graphs add isolated nodes and
     # several components. Below the real level limit, a block deeper than
-    # the limit and every block after it fall back to single-source BFS; in
-    # order of eccentricity the shallow blocks come first, so word blocks
-    # and fallback blocks mix (at n = 200, limits 1 and 2)
+    # the limit falls back to single-source BFS, and so does a later block
+    # whose sources all lie in components found that deep; a later block
+    # with a source elsewhere tries the word pass again. In order of
+    # eccentricity the shallow blocks come first, so word blocks and
+    # fallback blocks mix (at n = 200, limits 1 and 2); in node order a
+    # word block follows a fallback one (at n = 65 and 130)
     drawn = random_graph(np.random.default_rng(n), n, 1.5 / max(n, 1))
     if n >= 63:
         comp = connected_components(drawn)
         assert 1 in comp.component_sizes
         assert sum(size > 1 for size in comp.component_sizes) > 1
-    real = fldrank.graph.bfs_distances
-    calls = []
-    monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
-    by_depth = sorted(range(n), key=lambda s: real(drawn, s).d_max)
+    by_depth = sorted(range(n), key=lambda s: bfs_distances(drawn, s).d_max)
+    tried, calls = _spy_on_shell_pass(monkeypatch)
     for levels in (fldrank.graph._MAX_WORD_LEVELS, 1, 2):
         monkeypatch.setattr(fldrank.graph, "_MAX_WORD_LEVELS", levels)
         for order in (range(n), by_depth):
             g = _rebuilt(drawn, order)
+            tried.clear()
             calls.clear()
             depths = [len(shells) - 1 for shells in check_shell_table(g)]
-            deep = [first for first in range(0, n, 64) if max(depths[first : first + 64]) > levels]
-            assert calls == list(range(deep[0] if deep else n, n))
+            assert (tried, calls) == _shell_pass_plan(g, depths, levels)
+
+
+def test_shell_pass_falls_back_only_in_deep_components(monkeypatch):
+    # a 600-node path, then BA(2000, 3): sources 0-639 fall back, the path's
+    # blocks and the one that straddles into the BA part, where path node
+    # 576 has eccentricity 576; after the first block, only that one tries
+    # the word pass. The BA blocks after it run the word pass, since their
+    # component is shallow
+    path = [(f"p{i}", f"p{i + 1}") for i in range(599)]
+    ba = barabasi_albert_graph(2000, 3, 1)
+    labels = [f"b{label}" for label in ba.node_labels]
+    g = Graph.build(path + [(labels[v], labels[u]) for v in range(2000) for u in ba.adjacency[v]])
+    tried, calls = _spy_on_shell_pass(monkeypatch)
+    check_shell_table(g)
+    assert calls == list(range(640))
+    assert tried == [0, *range(576, g.node_count, 64)]
 
 
 @pytest.mark.parametrize("g", [path_graph(130), cycle_graph(65)], ids=["path130", "cycle65"])
@@ -291,24 +351,23 @@ def test_word_pass_runs_up_to_its_level_limit(monkeypatch, n, fallbacks):
     # single-source BFS
     assert fldrank.graph._MAX_WORD_LEVELS == 512
     g = path_graph(n)
-    real = fldrank.graph.bfs_distances
-    calls = []
-    monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
+    tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)
     assert calls == list(range(n - fallbacks, n))
+    # past the first block, the path's sources skip the word pass
+    assert tried == (list(range(0, n, 64)) if fallbacks == 0 else [0])
 
 
 def test_shell_pass_falls_back_to_bfs_from_the_first_deep_block(monkeypatch):
     # a 70-node star, then a 600-node path: sources 0-63 lie in the star, two
     # levels deep; the next block reaches into the path and runs past the
-    # word pass's level limit
+    # word pass's level limit, and every later block lies in the path
     edges = [("c", f"l{i}") for i in range(69)] + [(f"p{i}", f"p{i + 1}") for i in range(599)]
     g = Graph.build(edges)
-    real = fldrank.graph.bfs_distances
-    calls = []
-    monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
+    tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)  # reads the reference through its own name, not the spied one
     assert calls == list(range(64, g.node_count))
+    assert tried == [0, 64]
 
 
 def _canonical(g: Graph):

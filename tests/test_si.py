@@ -502,7 +502,9 @@ def test_ensemble_does_not_depend_on_batch_size(karate, monkeypatch):
 
 # --- replicate streams against numpy's own generators --------------------------
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200 + 7]
+# entropy of 1 to 7 uint32 words: the spawn key pads up to 4 words, and a
+# word past the pool's 4 adds its own hash steps
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 - 1, 2**96, 2**128 - 1, 2**128, 2**200 + 7]
 EDGE_KEYS = [0, 1, 99, 2**32 - 1]
 
 
@@ -519,6 +521,19 @@ def test_pcg64_states_are_the_states_replicate_rng_starts_from(seed):
         assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
         start = np.random.PCG64(_Words(row)).state
         assert start == replicate_rng(seed, key).bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 300).flatmap(lambda bits: st.integers(2 ** bits >> 1, 2**bits - 1)),
+    keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+)
+def test_seed_words_match_seed_sequence_at_every_entropy_length(seed, keys):
+    # the bit length is drawn first, so seeds of every uint32 word count from 1
+    # to 10 come up, not mostly the longest
+    for key, row in zip(keys, seed_words(seed, keys)):
+        expected = np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)
+        assert row.tolist() == expected.tolist()
 
 
 def test_seed_words_serve_only_the_request_pcg64_makes():
