@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Iterable
 
@@ -20,7 +20,7 @@ UNREACHABLE = -1
 
 # Sources per word of the all-sources pass: one bit each of a uint64 per node.
 _WORD_BITS = 64
-# Deepest word block after which the pass falls back to single-source BFS.
+# Depth past which a component's sources run as single-source BFS, not words.
 # Per contact, one level of the word pass costs about a tenth of what one
 # Python BFS does, so a block stops paying at about 10 * 64 levels.
 _MAX_WORD_LEVELS = 8 * _WORD_BITS
@@ -140,15 +140,19 @@ class ComponentMap:
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse one edge per line as two whitespace-separated labels.
 
-    Bytes are decoded as UTF-8, dropping a leading byte-order mark. Blank
-    lines and lines starting with '#' or '%' are ignored. Lines end at LF or
-    CRLF only; any other separator (form feed, U+2028, ...) is part of its
-    line. Duplicate edges collapse silently.
+    Bytes are decoded as UTF-8, dropping a leading byte-order mark; a byte that is
+    not UTF-8 raises EdgeListError at its line. Blank lines and lines starting with
+    '#' or '%' are ignored. Lines end at LF or CRLF only; any other separator (form
+    feed, U+2028, ...) is part of its line. Duplicate edges collapse silently.
     Self-loops are dropped and reported through a single warning carrying
     the dropped count; the looped label still becomes a node.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8-sig")
+        try:
+            text = text.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:  # exc.object and exc.start leave out a BOM
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise EdgeListError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", lineno) from None
     edges: list[tuple[str, str]] = []
     self_loops = 0
     for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
@@ -214,11 +218,11 @@ def all_distance_fields(g: Graph) -> np.ndarray:
 
     A level scans every contact, however small its frontier, so a block
     costs its level count times the contacts, against 64 times the contacts
-    for 64 single-source searches. That pays on small-diameter graphs; a
-    block that runs deeper than ``_MAX_WORD_LEVELS`` (a long path, a large
-    grid) runs as single-source BFS instead. Its sources' eccentricities
-    mark the components that hold a source past the limit, and a later
-    block whose sources all lie in marked components skips the word pass.
+    for 64 single-source searches. That pays on small-diameter graphs, so a
+    block runs as single-source BFS when a source lies in a deep component:
+    one of more than ``_MAX_WORD_LEVELS`` nodes that a double sweep from its
+    first node finds deeper than that (a long path, a large grid). Any other
+    component is at most twice that deep, and the word pass runs it through.
 
     Read it through the cached ``Graph.shell_table`` rather than calling it
     directly, so a graph pays for the pass once.
@@ -229,25 +233,23 @@ def all_distance_fields(g: Graph) -> np.ndarray:
     # none, and reduceat would misread an empty segment)
     owners = np.flatnonzero(np.diff(offsets))
     starts = offsets[owners]
+    component, sizes = g.components.component_id, g.components.component_sizes
+    firsts = dict(zip(component[::-1], range(n - 1, -1, -1)))  # each component's first node
+    big = (c for c, size in enumerate(sizes) if size > _MAX_WORD_LEVELS)
+    deep = {c for c in big if double_sweep_depth(g, firsts[c]) > _MAX_WORD_LEVELS}
     table = np.zeros((n, 1), dtype=np.int64)
     depth = 0
-    deep: set[int] = set()  # components with a source past the word pass's level limit
     for first in range(0, n, _WORD_BITS):
         stop = min(first + _WORD_BITS, n)
-        block = None
-        if not (deep and deep.issuperset(g.components.component_id[first:stop])):
+        if deep.isdisjoint(component[first:stop]):
             block = _word_block_shells(n, first, stop, owners, starts, targets)
-        if block is None:
-            fields = [bfs_distances(g, s) for s in range(first, stop)]
-            component = g.components.component_id
-            deep.update(component[f.source] for f in fields if f.d_max > _MAX_WORD_LEVELS)
-            shells = [f.shell_counts for f in fields]
-            longest = max(map(len, shells))
-            block = np.array([c + (0,) * (longest - len(c)) for c in shells], dtype=np.int64)
+        else:
+            shells = (bfs_distances(g, s).shell_counts for s in range(first, stop))
+            block = np.array(list(zip_longest(*shells, fillvalue=0)), dtype=np.int64).T
         depth = max(depth, block.shape[1] - 1)
         if depth >= table.shape[1]:
-            # a widening copies the table; past the word pass, where the depth
-            # may grow block by block, at least doubling keeps the copies few
+            # a widening copies the table; where single-source blocks run, the
+            # depth may grow block by block, and at least doubling keeps the copies few
             width = min(max(depth + 1, 2 * table.shape[1] if deep else 0), n)
             table = np.pad(table, ((0, 0), (0, width - table.shape[1])))
         table[first:stop, : block.shape[1]] = block
@@ -258,12 +260,10 @@ def all_distance_fields(g: Graph) -> np.ndarray:
 
 def _word_block_shells(
     n: int, first: int, stop: int, owners: np.ndarray, starts: np.ndarray, targets: np.ndarray
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Shell counts of sources first..stop-1 (at most 64), one bit each.
 
-    One row per source, one column per hop distance up to the block's
-    deepest source, zero past each source's own eccentricity; None once the
-    block runs deeper than ``_MAX_WORD_LEVELS`` levels.
+    One row per source and one column per hop distance up to the block's depth, zero-padded.
     """
     seen = np.zeros(n, dtype=np.uint64)
     seen[first:stop] = np.left_shift(np.uint64(1), np.arange(stop - first, dtype=np.uint64))
@@ -276,8 +276,6 @@ def _word_block_shells(
         hit = frontier[frontier != 0]
         if hit.size == 0:
             break
-        if len(levels) > _MAX_WORD_LEVELS:
-            return None
         seen |= frontier
         bits = np.unpackbits(hit.astype("<u8").view(np.uint8), bitorder="little")
         levels.append(bits.reshape(hit.size, _WORD_BITS).sum(axis=0, dtype=np.int64))
@@ -333,7 +331,8 @@ def double_sweep_depth(g: Graph, source: int) -> int:
     """Eccentricity of the node a BFS from ``source`` visits last: at most the diameter.
 
     A double sweep (Magnien, Latapy & Habib, JEA 2009): two single-source
-    BFS runs bound the diameter from below, without the all-sources pass.
+    BFS runs bound the diameter of ``source``'s component from below, and
+    twice the bound is at least that diameter, without the all-sources pass.
     """
     far = _bfs(g, source, [UNREACHABLE] * g.node_count)[-1]
     dist = [UNREACHABLE] * g.node_count

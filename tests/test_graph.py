@@ -20,7 +20,7 @@ from fldrank import (
     diameter,
     parse_edge_list,
 )
-from fldrank.datasets import kite_path
+from fldrank.datasets import kite_path, load_karate
 from fldrank.graph import double_sweep_depth
 
 
@@ -259,26 +259,27 @@ def _rebuilt(g: Graph, order) -> Graph:
     return Graph.build(edges, nodes=[g.node_labels[v] for v in order])
 
 
-def _shell_pass_plan(g: Graph, depths: list[int], levels: int) -> tuple[list[int], list[int]]:
-    """The first source of each block the shell pass tries as a word, and the sources it BFSes.
+def _shell_pass_plan(g: Graph, levels: int) -> tuple[list[int], list[int]]:
+    """The first source of each block the shell pass runs as a word, and the sources it BFSes.
 
-    A 64-source block falls back to single-source BFS when one of its
-    sources lies deeper than ``levels``; it skips the word pass when every
-    one of its sources lies in a component where an earlier fallback block
-    found a source that deep.
+    A 64-source block runs as single-source BFS exactly when one of its
+    sources lies in a component of more than ``levels`` nodes whose double
+    sweep from its smallest node reaches deeper than ``levels``.
     """
-    comp = connected_components(g).component_id
-    deep: set[int] = set()
+    comp = connected_components(g)
+    deep = {
+        c
+        for c, size in enumerate(comp.component_sizes)
+        if size > levels and double_sweep_depth(g, comp.component_id.index(c)) > levels
+    }
     tried: list[int] = []
     fallbacks: list[int] = []
     for first in range(0, g.node_count, 64):
         block = range(first, min(first + 64, g.node_count))
-        if not deep.issuperset(comp[s] for s in block):
+        if any(comp.component_id[s] in deep for s in block):
+            fallbacks += block
+        else:
             tried.append(first)
-            if max(depths[s] for s in block) <= levels:
-                continue
-        fallbacks += block
-        deep.update(comp[s] for s in block if depths[s] > levels)
     return tried, fallbacks
 
 
@@ -299,13 +300,13 @@ def _spy_on_shell_pass(monkeypatch) -> tuple[list[int], list[int]]:
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130, 200])
 def test_shell_counts_across_word_boundaries(monkeypatch, n):
     # sources run 64 to a word; sparse random graphs add isolated nodes and
-    # several components. Below the real level limit, a block deeper than
-    # the limit falls back to single-source BFS, and so does a later block
-    # whose sources all lie in components found that deep; a later block
-    # with a source elsewhere tries the word pass again. In order of
-    # eccentricity the shallow blocks come first, so word blocks and
-    # fallback blocks mix (at n = 200, limits 1 and 2); in node order a
-    # word block follows a fallback one (at n = 65 and 130)
+    # several components. Below the real level limit, a block with a source
+    # in a component that a double sweep finds deeper than the limit runs
+    # as single-source BFS, and any other block runs the word pass through,
+    # however deep. In order of eccentricity the shallow blocks come first,
+    # so word blocks and single-source blocks mix (at n = 200, limits 1 and
+    # 2); in node order a word block follows a single-source one (at n = 65
+    # and 130)
     drawn = random_graph(np.random.default_rng(n), n, 1.5 / max(n, 1))
     if n >= 63:
         comp = connected_components(drawn)
@@ -319,24 +320,28 @@ def test_shell_counts_across_word_boundaries(monkeypatch, n):
             g = _rebuilt(drawn, order)
             tried.clear()
             calls.clear()
-            depths = [len(shells) - 1 for shells in check_shell_table(g)]
-            assert (tried, calls) == _shell_pass_plan(g, depths, levels)
+            check_shell_table(g)
+            assert (tried, calls) == _shell_pass_plan(g, levels)
 
 
-def test_shell_pass_falls_back_only_in_deep_components(monkeypatch):
-    # a 600-node path, then BA(2000, 3): sources 0-639 fall back, the path's
-    # blocks and the one that straddles into the BA part, where path node
-    # 576 has eccentricity 576; after the first block, only that one tries
-    # the word pass. The BA blocks after it run the word pass, since their
-    # component is shallow
+def _path600_then_ba2000() -> Graph:
+    """A 600-node path labelled p0..p599, then BA(2000, 3) with its labels prefixed by b."""
     path = [(f"p{i}", f"p{i + 1}") for i in range(599)]
     ba = barabasi_albert_graph(2000, 3, 1)
     labels = [f"b{label}" for label in ba.node_labels]
-    g = Graph.build(path + [(labels[v], labels[u]) for v in range(2000) for u in ba.adjacency[v]])
+    return Graph.build(path + [(labels[v], labels[u]) for v in range(2000) for u in ba.adjacency[v]])
+
+
+def test_shell_pass_falls_back_only_in_deep_components(monkeypatch):
+    # a 600-node path, then BA(2000, 3): sources 0-639 run as single-source
+    # BFS, the path's blocks and the one that straddles into the BA part.
+    # The BA blocks after it run the word pass, since their component is
+    # shallow
+    g = _path600_then_ba2000()
     tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)
     assert calls == list(range(640))
-    assert tried == [0, *range(576, g.node_count, 64)]
+    assert tried == list(range(640, g.node_count, 64))
 
 
 @pytest.mark.parametrize("g", [path_graph(130), cycle_graph(65)], ids=["path130", "cycle65"])
@@ -346,28 +351,69 @@ def test_shell_counts_on_long_paths_across_words(g):
 
 @pytest.mark.parametrize("n, fallbacks", [(513, 0), (514, 514)])
 def test_word_pass_runs_up_to_its_level_limit(monkeypatch, n, fallbacks):
-    # a path's end node 0 has eccentricity n - 1: 512 levels stay in the word
-    # pass, and 513 send the first block, and so every source, to
-    # single-source BFS
+    # a path's end node 0 has eccentricity n - 1, and a double sweep from it
+    # finds that depth: 512 levels stay in the word pass, and 513 send every
+    # source to single-source BFS
     assert fldrank.graph._MAX_WORD_LEVELS == 512
     g = path_graph(n)
     tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)
     assert calls == list(range(n - fallbacks, n))
-    # past the first block, the path's sources skip the word pass
-    assert tried == (list(range(0, n, 64)) if fallbacks == 0 else [0])
+    assert tried == (list(range(0, n, 64)) if fallbacks == 0 else [])
 
 
 def test_shell_pass_falls_back_to_bfs_from_the_first_deep_block(monkeypatch):
     # a 70-node star, then a 600-node path: sources 0-63 lie in the star, two
-    # levels deep; the next block reaches into the path and runs past the
-    # word pass's level limit, and every later block lies in the path
+    # levels deep; the next block reaches into the path, deeper than the word
+    # pass's level limit, and every later block lies in the path
     edges = [("c", f"l{i}") for i in range(69)] + [(f"p{i}", f"p{i + 1}") for i in range(599)]
     g = Graph.build(edges)
     tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)  # reads the reference through its own name, not the spied one
     assert calls == list(range(64, g.node_count))
-    assert tried == [0, 64]
+    assert tried == [0]
+
+
+def test_word_pass_has_no_level_limit(monkeypatch):
+    # with every double sweep read as 0, no component counts as deep, and the
+    # word pass runs path(600)'s blocks through all 599 levels
+    monkeypatch.setattr(fldrank.graph, "double_sweep_depth", lambda g, source: 0)
+    g = path_graph(600)
+    tried, calls = _spy_on_shell_pass(monkeypatch)
+    check_shell_table(g)
+    assert calls == []
+    assert tried == list(range(0, 600, 64))
+
+
+@pytest.mark.parametrize(
+    "build, sweeps",
+    [
+        (load_karate, 0),
+        (lambda: barabasi_albert_graph(300, 3, 1), 0),
+        (lambda: barabasi_albert_graph(2000, 3, 1), 1),
+    ],
+    ids=["karate", "ba300", "ba2000"],
+)
+def test_shell_pass_sweeps_only_components_larger_than_its_level_limit(monkeypatch, build, sweeps):
+    # a component of at most _MAX_WORD_LEVELS nodes is never deeper than that,
+    # so only BA(2000, 3)'s one component pays for a double sweep
+    g = build()
+    sources, real = [], fldrank.graph.double_sweep_depth
+    monkeypatch.setattr(
+        fldrank.graph, "double_sweep_depth", lambda g, s: sources.append(s) or real(g, s)
+    )
+    fldrank.graph.all_distance_fields(g)
+    assert sources == [0] * sweeps
+
+
+def test_no_word_block_holds_a_source_of_a_deep_component(monkeypatch):
+    # path(600), then BA(2000, 3): the word pass runs only blocks of BA sources
+    g = _path600_then_ba2000()
+    tried, _ = _spy_on_shell_pass(monkeypatch)
+    fldrank.graph.all_distance_fields(g)
+    assert tried
+    blocks = [g.node_labels[first : first + 64] for first in tried]
+    assert not any(label.startswith("p") for block in blocks for label in block)
 
 
 def _canonical(g: Graph):
