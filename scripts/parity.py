@@ -11,12 +11,13 @@ BA(300, 3), path(300) and 12x12 grid graphs. On every graph the matrix runs
 for each measure. Three more runs take one graph each: on karate, ``si``
 with 150 replicates (two SI batches of unequal length) and ``tau`` on the
 default grid; on kite, ``si --top`` past the node count, an error path.
-Three generated graphs run only ``rank``: path(1000), deep enough for fld's
+Four generated graphs run only ``rank``: path(1000), deep enough for fld's
 and ld's node blocks to run at many widths, with ld and with fld; a
-path(600) followed by BA(300, 3), whose path blocks run the all-sources
-pass as single-source BFS while the BA blocks after them run it as words;
-and the same two parts the other way round, shallow words first, then the
-deep path. The last two run cc, ld and fld.
+path(600) followed by BA(300, 3), whose path sources run the all-sources
+pass in frontier blocks while the BA sources run it as words; the same two
+parts the other way round, shallow words first, then the deep path; and
+the path glued by one edge to the BA graph, one deep component whose dense
+part narrows its frontier blocks. The last three run cc, ld and fld.
 Each run's rows, manifest, stdout, stderr and exit code are compared. Every
 difference is printed, and the script exits 1 if there is any, 0 otherwise
 (2 if BASE cannot be unpacked). The two trees of a run run side by side.
@@ -64,6 +65,7 @@ ONLY_ON_GRAPH = {
     "path1000": {f"rank-{m}": ["rank", "--measure", m] for m in ("ld", "fld")},
     "path600ba300": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
     "ba300path600": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
+    "path600glueba300": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
 }
 
 
@@ -93,6 +95,9 @@ def write_inputs(folder: Path) -> dict[str, Path]:
         + [f"b{a} b{b}" for a, b in ba_edges(300, 3, 0)],
         "ba300path600": [f"b{a} b{b}" for a, b in ba_edges(300, 3, 0)]
         + [f"p{i} p{i + 1}" for i in range(599)],
+        "path600glueba300": [f"p{i} p{i + 1}" for i in range(599)]
+        + ["p599 b0"]
+        + [f"b{a} b{b}" for a, b in ba_edges(300, 3, 0)],
         "grid12": [
             f"{i},{j} {a},{b}"
             for i in range(12)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, contact_ids, disjoint_copies
+from .graph import Graph, contact_ids, disjoint_copies, distinct_cells
 
 # Contact budget of one betweenness source block. A block of w sources
 # holds w * n cells, w copies of the contact arrays and up to w times the
@@ -296,10 +296,7 @@ def _block_path_counts(
         np.add.at(sigma, head, sigma[tail])
         dag.append((tail, head))
         if thin:
-            # one entry per distinct head cell: the last contact written into its slot
-            order = np.arange(head.size)
-            slot[head] = order
-            frontier = head[slot[head] == order]
+            frontier = distinct_cells(head, slot)
         else:
             # the cells that turned seen, in cell order
             frontier = np.flatnonzero(was != unseen)

@@ -285,6 +285,10 @@ def main(argv=None) -> int:
         except (PowerIterationError, ValueError, OSError) as exc:  # EdgeListError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        except MemoryError as exc:  # numpy's message names the array it could not allocate
+            detail = f": {exc}" if str(exc) else ""
+            print(f"error: out of memory{detail}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -20,9 +20,9 @@ UNREACHABLE = -1
 
 # Sources per word of the all-sources pass: one bit each of a uint64 per node.
 _WORD_BITS = 64
-# Depth past which a component's sources run as single-source BFS, not words.
-# Per contact, one level of the word pass costs about a tenth of what one
-# Python BFS does, so a block stops paying at about 10 * 64 levels.
+# Depth past which a component's sources run in frontier blocks, not words.
+# The kernels' shell-pass CPU (2 vCPUs, numpy 2.4.6) is even on path(n) at
+# 450-550 levels and on grid(10, n) at about 250; at 508 frontier blocks win 1.8x.
 _MAX_WORD_LEVELS = 8 * _WORD_BITS
 
 
@@ -210,63 +210,70 @@ def all_distance_fields(g: Graph) -> np.ndarray:
     largest eccentricity ``depth``; a shell count is positive up to its
     node's own eccentricity, so the row's nonzero count is that plus one.
 
-    Sources run 64 at a time as the bits of one uint64 per node (a
-    multi-source BFS in the manner of Then et al., VLDB 2014): each level
-    ORs every node's neighbor frontiers over the CSR contact arrays, and a
-    source's shell count at that level is the number of nodes newly
-    reached with its bit set.
-
-    A level scans every contact, however small its frontier, so a block
-    costs its level count times the contacts, against 64 times the contacts
-    for 64 single-source searches. That pays on small-diameter graphs, so a
-    block runs as single-source BFS when a source lies in a deep component:
-    one of more than ``_MAX_WORD_LEVELS`` nodes that a double sweep from its
-    first node finds deeper than that (a long path, a large grid). Any other
-    component is at most twice that deep, and the word pass runs it through.
+    Both kernels are multi-source BFS (Then et al., VLDB 2014). Most
+    sources run 64 at a time as the bits of one uint64 per node: each
+    level ORs every node's neighbor frontiers over the CSR contact arrays.
+    A level scans every contact, however small its frontier, so that pays
+    on small-diameter graphs. The sources of a deep component, one of more
+    than ``_MAX_WORD_LEVELS`` nodes that a double sweep from its first node
+    finds deeper than that (a long path, a large grid), run in frontier
+    blocks, which expand only the frontier's contacts. Any other component
+    is at most twice that deep, and the word pass runs it through.
 
     Read it through the cached ``Graph.shell_table`` rather than calling it
     directly, so a graph pays for the pass once.
     """
     n = g.node_count
     offsets, targets = g.edge_arrays
+    degrees = np.diff(offsets)
     # reduceat segments: one per node with neighbors (isolated nodes have
     # none, and reduceat would misread an empty segment)
-    owners = np.flatnonzero(np.diff(offsets))
+    owners = np.flatnonzero(degrees)
     starts = offsets[owners]
     component, sizes = g.components.component_id, g.components.component_sizes
     firsts = dict(zip(component[::-1], range(n - 1, -1, -1)))  # each component's first node
     big = (c for c, size in enumerate(sizes) if size > _MAX_WORD_LEVELS)
-    deep = {c for c in big if double_sweep_depth(g, firsts[c]) > _MAX_WORD_LEVELS}
+    deep_components = [c for c in big if double_sweep_depth(g, firsts[c]) > _MAX_WORD_LEVELS]
+    in_deep = np.isin(component, deep_components)
+    shallow, deep = np.flatnonzero(~in_deep), np.flatnonzero(in_deep)
+    # A frontier block holds at most 64 sources, and fewer where the deep
+    # nodes' mean degree passes 2, so that one level expands at most about
+    # 128 contacts per deep node, as 64 rows of a path do. Both numbers are
+    # hand-tuned on paths glued to BA graphs, not derived from the word size.
+    width = max(1, min(64, 128 * deep.size // max(int(degrees[deep].sum()), 1)))
+
+    def blocks():
+        for i in range(0, shallow.size, _WORD_BITS):
+            sources = shallow[i : i + _WORD_BITS]
+            yield sources, _word_block_shells(n, sources, owners, starts, targets)
+        for i in range(0, deep.size, width):
+            sources = deep[i : i + width]
+            yield sources, _frontier_block_shells(g, sources)
+
     table = np.zeros((n, 1), dtype=np.int64)
     depth = 0
-    for first in range(0, n, _WORD_BITS):
-        stop = min(first + _WORD_BITS, n)
-        if deep.isdisjoint(component[first:stop]):
-            block = _word_block_shells(n, first, stop, owners, starts, targets)
-        else:
-            shells = (bfs_distances(g, s).shell_counts for s in range(first, stop))
-            block = np.array(list(zip_longest(*shells, fillvalue=0)), dtype=np.int64).T
+    for sources, block in blocks():
         depth = max(depth, block.shape[1] - 1)
         if depth >= table.shape[1]:
-            # a widening copies the table; where single-source blocks run, the
+            # a widening copies the table; where frontier blocks run, the
             # depth may grow block by block, and at least doubling keeps the copies few
-            width = min(max(depth + 1, 2 * table.shape[1] if deep else 0), n)
-            table = np.pad(table, ((0, 0), (0, width - table.shape[1])))
-        table[first:stop, : block.shape[1]] = block
+            wider = min(max(depth + 1, 2 * table.shape[1] if deep.size else 0), n)
+            table = np.pad(table, ((0, 0), (0, wider - table.shape[1])))
+        table[sources, : block.shape[1]] = block
     table = np.ascontiguousarray(table[:, : depth + 1])
     table.setflags(write=False)
     return table
 
 
 def _word_block_shells(
-    n: int, first: int, stop: int, owners: np.ndarray, starts: np.ndarray, targets: np.ndarray
+    n: int, sources: np.ndarray, owners: np.ndarray, starts: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Shell counts of sources first..stop-1 (at most 64), one bit each.
+    """Shell counts of ``sources`` (at most 64), one bit each of a uint64 per node.
 
     One row per source and one column per hop distance up to the block's depth, zero-padded.
     """
     seen = np.zeros(n, dtype=np.uint64)
-    seen[first:stop] = np.left_shift(np.uint64(1), np.arange(stop - first, dtype=np.uint64))
+    seen[sources] = np.left_shift(np.uint64(1), np.arange(sources.size, dtype=np.uint64))
     frontier = seen.copy()
     levels = [np.ones(_WORD_BITS, dtype=np.int64)]  # distance 0: the source itself
     while owners.size:
@@ -279,7 +286,38 @@ def _word_block_shells(
         seen |= frontier
         bits = np.unpackbits(hit.astype("<u8").view(np.uint8), bitorder="little")
         levels.append(bits.reshape(hit.size, _WORD_BITS).sum(axis=0, dtype=np.int64))
-    return np.array(levels).T[: stop - first]
+    return np.array(levels).T[: sources.size]
+
+
+def _frontier_block_shells(g: Graph, sources: np.ndarray) -> np.ndarray:
+    """Shell counts of ``sources``, one row each; cell ``b * n + v`` is node v seen from row b."""
+    n = g.node_count
+    frontier = np.arange(sources.size) * n + sources
+    seen = np.zeros(frontier.size * n, dtype=bool)
+    slot = np.empty(seen.size, dtype=np.intp)
+    levels = []
+    while frontier.size:
+        seen[frontier] = True
+        levels.append(np.bincount(frontier // n, minlength=sources.size))
+        frontier = distinct_cells(unseen_heads(g, frontier, seen), slot)
+    return np.array(levels).T
+
+
+def unseen_heads(g: Graph, cells: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Head cells of the contacts from ``cells`` (``b * n + v``) to unseen ones, in contact order."""
+    n = g.node_count
+    offsets, targets = g.edge_arrays
+    nodes = cells % n
+    contacts, degrees = contact_ids(offsets, nodes)
+    heads = (cells - nodes).repeat(degrees) + targets[contacts]
+    return heads[~seen[heads]]
+
+
+def distinct_cells(cells: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """``cells`` with each kept once, where it last occurs; ``slot`` is intp scratch by cell."""
+    order = np.arange(cells.size)
+    slot[cells] = order
+    return cells[slot[cells] == order]
 
 
 def contact_ids(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,9 +328,9 @@ def contact_ids(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.
     """
     first = offsets[nodes]
     degrees = offsets[nodes + 1] - first
-    ends = np.cumsum(degrees)
+    ends = degrees.cumsum()
     # contact IDs, node by node: first, first + 1, ..., first + degree - 1
-    contacts = np.repeat(first - ends + degrees, degrees)
+    contacts = (first - ends + degrees).repeat(degrees)
     contacts += np.arange(contacts.size)
     return contacts, degrees
 

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, contact_ids, diameter, disjoint_copies, double_sweep_depth
+from .graph import Graph, contact_ids, diameter, disjoint_copies, double_sweep_depth, unseen_heads
 
 # Contact budget of one replicate batch. A step of R rows visits at most R
 # times the directed edges, so R is this over the edge count (or node count,
@@ -295,12 +295,7 @@ def si_step(
         rng = lambda counts: np.concatenate([r.random(c) for r, c in zip(rngs, counts.tolist())])
     state = state.ravel()
     if heads is None:
-        offsets, targets = g.edge_arrays
-        cells = np.flatnonzero(state)
-        nodes = cells % n
-        contacts, degrees = contact_ids(offsets, nodes)
-        heads = np.repeat(cells - nodes, degrees) + targets[contacts]
-        heads = heads[~state[heads]]
+        heads = unseen_heads(g, np.flatnonzero(state), state)
     counts = np.bincount(heads // n, minlength=rows)
     newly = np.zeros(state.size, dtype=bool)
     newly[heads[rng(counts) < lam]] = True

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -553,6 +554,61 @@ def test_manifest_rerun_reproduces_compare_bytes(tmp_path):
     ]
     assert main(rerun) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 8.00 EiB for an array with shape (2**60,)"),
+         "error: out of memory: Unable to allocate 8.00 EiB for an array with shape (2**60,)\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_out_of_memory_is_one_clean_error_line(monkeypatch, capsys, exc, line):
+    def exhausted(g, measure):
+        raise exc
+
+    monkeypatch.setattr(fldrank.cli, "compute_measure", exhausted)
+    code, out, err = run(capsys, ["rank", "--input", str(kite_path()), "--measure", "fld"])
+    assert code == 1
+    assert out == ""
+    assert err == line
+
+
+def test_out_of_memory_under_an_address_space_limit(tmp_path):
+    # the child limits its own address space to 200 MiB before it imports
+    # numpy, which with fldrank takes about 110 MB of it; path(6000)'s shell
+    # table needs 6000 x 6000 int64 cells (275 MiB), so numpy's allocation fails.
+    # The child prints "imported" once fldrank.cli is in; where a numpy build
+    # cannot even import under the limit, there is nothing to test
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    limit = 200 * 2**20
+    child = (
+        f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        "import fldrank.cli; print('imported', flush=True); sys.exit(fldrank.cli.main())"
+    )
+    path = tmp_path / "path6000.edges"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(5999)))
+    src = str(Path(fldrank.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", child, "rank", "--measure", "fld", "--input", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    if not done.stdout.startswith("imported\n"):
+        pytest.skip(f"fldrank.cli does not import within {limit} bytes: {done.stderr[-200:]}")
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == "imported\n"
+    assert "Traceback" not in done.stderr
+    assert re.fullmatch(r"error: out of memory: Unable to allocate .*\(6000, 6000\).*\n", done.stderr)
+    assert elapsed < 5
 
 
 def test_output_uses_unix_newlines_only(tmp_path):

@@ -8,6 +8,7 @@ from conftest import (
     barabasi_albert_graph,
     check_shell_table,
     cycle_graph,
+    grid_graph,
     path_graph,
     random_graph,
 )
@@ -259,12 +260,26 @@ def _rebuilt(g: Graph, order) -> Graph:
     return Graph.build(edges, nodes=[g.node_labels[v] for v in order])
 
 
-def _shell_pass_plan(g: Graph, levels: int) -> tuple[list[int], list[int]]:
-    """The first source of each block the shell pass runs as a word, and the sources it BFSes.
+def _blocks(sources, width: int) -> list[list[int]]:
+    """``sources`` cut into consecutive blocks of ``width``, the last one shorter."""
+    sources = list(sources)
+    return [sources[i : i + width] for i in range(0, len(sources), width)]
 
-    A 64-source block runs as single-source BFS exactly when one of its
-    sources lies in a component of more than ``levels`` nodes whose double
-    sweep from its smallest node reaches deeper than ``levels``.
+
+def _frontier_width(g: Graph, sources: list[int]) -> int:
+    """Sources per frontier block: 128 over the mean degree of the deep ``sources``, 1 to 64."""
+    contacts = sum(len(g.adjacency[s]) for s in sources)
+    return max(1, min(64, 128 * len(sources) // max(contacts, 1)))
+
+
+def _shell_pass_plan(g: Graph, levels: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The sources of each word block, and of each frontier block, that the shell pass runs.
+
+    A source runs in a frontier block exactly when it lies in a component
+    of more than ``levels`` nodes whose double sweep from its smallest node
+    reaches deeper than ``levels``. The word blocks take the other sources
+    64 at a time, in node order, and the frontier blocks the deep ones
+    ``_frontier_width`` at a time.
     """
     comp = connected_components(g)
     deep = {
@@ -272,41 +287,35 @@ def _shell_pass_plan(g: Graph, levels: int) -> tuple[list[int], list[int]]:
         for c, size in enumerate(comp.component_sizes)
         if size > levels and double_sweep_depth(g, comp.component_id.index(c)) > levels
     }
-    tried: list[int] = []
-    fallbacks: list[int] = []
-    for first in range(0, g.node_count, 64):
-        block = range(first, min(first + 64, g.node_count))
-        if any(comp.component_id[s] in deep for s in block):
-            fallbacks += block
-        else:
-            tried.append(first)
-    return tried, fallbacks
+    in_deep = [comp.component_id[s] in deep for s in range(g.node_count)]
+    deep_sources = [s for s in range(g.node_count) if in_deep[s]]
+    shallow = [s for s in range(g.node_count) if not in_deep[s]]
+    return _blocks(shallow, 64), _blocks(deep_sources, _frontier_width(g, deep_sources))
 
 
-def _spy_on_shell_pass(monkeypatch) -> tuple[list[int], list[int]]:
-    """Record the first source of each word block, and each single-source BFS, of the shell pass."""
+def _spy_on_shell_pass(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
+    """Record the sources of each word block, and of each frontier block, of the shell pass."""
     tried, calls = [], []
-    word, real = fldrank.graph._word_block_shells, fldrank.graph.bfs_distances
+    for name, blocks in (("_word_block_shells", tried), ("_frontier_block_shells", calls)):
+        kernel = getattr(fldrank.graph, name)
 
-    def word_block(n, first, *rest):
-        tried.append(first)
-        return word(n, first, *rest)
+        def spy(*args, kernel=kernel, blocks=blocks):
+            blocks.append(args[1].tolist())  # each kernel takes its sources second
+            return kernel(*args)
 
-    monkeypatch.setattr(fldrank.graph, "_word_block_shells", word_block)
-    monkeypatch.setattr(fldrank.graph, "bfs_distances", lambda g, s: calls.append(s) or real(g, s))
+        monkeypatch.setattr(fldrank.graph, name, spy)
     return tried, calls
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130, 200])
 def test_shell_counts_across_word_boundaries(monkeypatch, n):
-    # sources run 64 to a word; sparse random graphs add isolated nodes and
-    # several components. Below the real level limit, a block with a source
-    # in a component that a double sweep finds deeper than the limit runs
-    # as single-source BFS, and any other block runs the word pass through,
-    # however deep. In order of eccentricity the shallow blocks come first,
-    # so word blocks and single-source blocks mix (at n = 200, limits 1 and
-    # 2); in node order a word block follows a single-source one (at n = 65
-    # and 130)
+    # sparse random graphs add isolated nodes and several components. Below
+    # the real level limit, the sources of a component that a double sweep
+    # finds deeper than the limit run in frontier blocks, and any other
+    # source runs in a 64-source word block, however deep. In order of
+    # eccentricity the shallow sources come first, so the word blocks and
+    # frontier blocks hold sources from all over the node range (at n =
+    # 200, limits 1 and 2); in node order they interleave (at n = 65 and 130)
     drawn = random_graph(np.random.default_rng(n), n, 1.5 / max(n, 1))
     if n >= 63:
         comp = connected_components(drawn)
@@ -332,19 +341,32 @@ def _path600_then_ba2000() -> Graph:
     return Graph.build(path + [(labels[v], labels[u]) for v in range(2000) for u in ba.adjacency[v]])
 
 
+def _path600_glued_to_ba300() -> Graph:
+    """A 600-node path p0..p599 whose end p599 has one edge to node b0 of BA(300, 3)."""
+    path = [(f"p{i}", f"p{i + 1}") for i in range(599)]
+    ba = barabasi_albert_graph(300, 3, 1)
+    labels = [f"b{label}" for label in ba.node_labels]
+    ba_edges = [(labels[v], labels[u]) for v in range(300) for u in ba.adjacency[v]]
+    return Graph.build(path + [("p599", labels[0])] + ba_edges)
+
+
 def test_shell_pass_falls_back_only_in_deep_components(monkeypatch):
-    # a 600-node path, then BA(2000, 3): sources 0-639 run as single-source
-    # BFS, the path's blocks and the one that straddles into the BA part.
-    # The BA blocks after it run the word pass, since their component is
-    # shallow
+    # a 600-node path, then BA(2000, 3): the path's sources 0-599 run in
+    # frontier blocks of 64 (a path's mean degree is about 2), and the BA
+    # sources run in word blocks from source 600 on, since their component
+    # is shallow
     g = _path600_then_ba2000()
     tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)
-    assert calls == list(range(640))
-    assert tried == list(range(640, g.node_count, 64))
+    assert calls == _blocks(range(600), 64)
+    assert tried == _blocks(range(600, g.node_count), 64)
 
 
-@pytest.mark.parametrize("g", [path_graph(130), cycle_graph(65)], ids=["path130", "cycle65"])
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(130), cycle_graph(65), _path600_glued_to_ba300(), grid_graph(2, 600)],
+    ids=["path130", "cycle65", "path600-glued-ba300", "grid2x600"],
+)
 def test_shell_counts_on_long_paths_across_words(g):
     check_shell_table(g)
 
@@ -353,25 +375,25 @@ def test_shell_counts_on_long_paths_across_words(g):
 def test_word_pass_runs_up_to_its_level_limit(monkeypatch, n, fallbacks):
     # a path's end node 0 has eccentricity n - 1, and a double sweep from it
     # finds that depth: 512 levels stay in the word pass, and 513 send every
-    # source to single-source BFS
+    # source to the frontier blocks
     assert fldrank.graph._MAX_WORD_LEVELS == 512
     g = path_graph(n)
     tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)
-    assert calls == list(range(n - fallbacks, n))
-    assert tried == (list(range(0, n, 64)) if fallbacks == 0 else [])
+    assert calls == _blocks(range(n - fallbacks, n), 64)
+    assert tried == (_blocks(range(n), 64) if fallbacks == 0 else [])
 
 
 def test_shell_pass_falls_back_to_bfs_from_the_first_deep_block(monkeypatch):
-    # a 70-node star, then a 600-node path: sources 0-63 lie in the star, two
-    # levels deep; the next block reaches into the path, deeper than the word
-    # pass's level limit, and every later block lies in the path
+    # a 70-node star, then a 600-node path: sources 0-69 lie in the star, two
+    # levels deep, and run as two word blocks; the path is deeper than the
+    # word pass's level limit, and its sources run in frontier blocks
     edges = [("c", f"l{i}") for i in range(69)] + [(f"p{i}", f"p{i + 1}") for i in range(599)]
     g = Graph.build(edges)
     tried, calls = _spy_on_shell_pass(monkeypatch)
-    check_shell_table(g)  # reads the reference through its own name, not the spied one
-    assert calls == list(range(64, g.node_count))
-    assert tried == [0]
+    check_shell_table(g)
+    assert calls == _blocks(range(70, g.node_count), 64)
+    assert tried == [list(range(64)), list(range(64, 70))]
 
 
 def test_word_pass_has_no_level_limit(monkeypatch):
@@ -382,7 +404,7 @@ def test_word_pass_has_no_level_limit(monkeypatch):
     tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)
     assert calls == []
-    assert tried == list(range(0, 600, 64))
+    assert tried == _blocks(range(600), 64)
 
 
 @pytest.mark.parametrize(
@@ -412,8 +434,26 @@ def test_no_word_block_holds_a_source_of_a_deep_component(monkeypatch):
     tried, _ = _spy_on_shell_pass(monkeypatch)
     fldrank.graph.all_distance_fields(g)
     assert tried
-    blocks = [g.node_labels[first : first + 64] for first in tried]
-    assert not any(label.startswith("p") for block in blocks for label in block)
+    assert not any(g.node_labels[s].startswith("p") for block in tried for s in block)
+
+
+def test_frontier_blocks_hold_only_deep_sources_and_follow_their_degree(monkeypatch):
+    # BA(300, 3) on its own, then path(600) glued to another BA(300, 3): the
+    # glued component is deep, and its dense part raises its mean degree to
+    # about 3.3, so its frontier blocks hold 128 // 3.3 = 38 sources, not 64
+    ba, glued = barabasi_albert_graph(300, 3, 2), _path600_glued_to_ba300()
+    edges = [(f"s{v}", f"s{u}") for v in range(300) for u in ba.adjacency[v]]
+    labels = glued.node_labels
+    g = Graph.build(edges + [(labels[v], labels[u]) for v in range(900) for u in glued.adjacency[v]])
+    tried, calls = _spy_on_shell_pass(monkeypatch)
+    check_shell_table(g)
+    shallow = [s for s in range(g.node_count) if g.node_labels[s].startswith("s")]
+    deep = [s for s in range(g.node_count) if not g.node_labels[s].startswith("s")]
+    width = 128 * len(deep) // sum(len(g.adjacency[s]) for s in deep)
+    assert width == 38
+    assert sorted(s for block in calls for s in block) == deep
+    assert max(map(len, calls)) == width
+    assert sorted(s for block in tried for s in block) == shallow
 
 
 def _canonical(g: Graph):
