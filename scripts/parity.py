@@ -11,13 +11,15 @@ BA(300, 3), path(300) and 12x12 grid graphs. On every graph the matrix runs
 for each measure. Three more runs take one graph each: on karate, ``si``
 with 150 replicates (two SI batches of unequal length) and ``tau`` on the
 default grid; on kite, ``si --top`` past the node count, an error path.
-Four generated graphs run only ``rank``: path(1000), deep enough for fld's
+Five generated graphs run only ``rank``: path(1000), deep enough for fld's
 and ld's node blocks to run at many widths, with ld and with fld; a
 path(600) followed by BA(300, 3), whose path sources run the all-sources
 pass in frontier blocks while the BA sources run it as words; the same two
 parts the other way round, shallow words first, then the deep path; and
 the path glued by one edge to the BA graph, one deep component whose dense
-part narrows its frontier blocks. The last three run cc, ld and fld.
+part narrows its frontier blocks. These three run cc, ld and fld. A chain
+of 70 diamonds (211 nodes) runs bc: its path counts pass 2**63, so bc's
+counts widen to Python integers.
 Each run's rows, manifest, stdout, stderr and exit code are compared. Every
 difference is printed, and the script exits 1 if there is any, 0 otherwise
 (2 if BASE cannot be unpacked). The two trees of a run run side by side.
@@ -66,6 +68,7 @@ ONLY_ON_GRAPH = {
     "path600ba300": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
     "ba300path600": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
     "path600glueba300": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
+    "diamonds70": {"rank-bc": ["rank", "--measure", "bc"]},
 }
 
 
@@ -98,6 +101,12 @@ def write_inputs(folder: Path) -> dict[str, Path]:
         "path600glueba300": [f"p{i} p{i + 1}" for i in range(599)]
         + ["p599 b0"]
         + [f"b{a} b{b}" for a, b in ba_edges(300, 3, 0)],
+        "diamonds70": [
+            f"{u} {v}"
+            for i in range(70)
+            for mid in (f"b{i}", f"c{i}")
+            for u, v in ((f"a{i}", mid), (mid, f"a{i + 1}"))
+        ],
         "grid12": [
             f"{i},{j} {a},{b}"
             for i in range(12)

@@ -20,10 +20,10 @@ UNREACHABLE = -1
 
 # Sources per word of the all-sources pass: one bit each of a uint64 per node.
 _WORD_BITS = 64
-# Depth past which a component's sources run in frontier blocks, not words.
-# The kernels' shell-pass CPU (2 vCPUs, numpy 2.4.6) is even on path(n) at
-# 450-550 levels and on grid(10, n) at about 250; at 508 frontier blocks win 1.8x.
-_MAX_WORD_LEVELS = 8 * _WORD_BITS
+# Depth past which a component's sources run in frontier blocks, not words, as
+# measured (shell-pass CPU, 2 vCPUs, numpy 2.4.6): the kernels are even on path(n)
+# at 450-550 levels and on grid(10, n) at about 250; at 508 frontier blocks win 1.8x.
+_MAX_WORD_LEVELS = 512
 
 
 class EdgeListError(ValueError):
@@ -236,11 +236,11 @@ def all_distance_fields(g: Graph) -> np.ndarray:
     deep_components = [c for c in big if double_sweep_depth(g, firsts[c]) > _MAX_WORD_LEVELS]
     in_deep = np.isin(component, deep_components)
     shallow, deep = np.flatnonzero(~in_deep), np.flatnonzero(in_deep)
-    # A frontier block holds at most 64 sources, and fewer where the deep
-    # nodes' mean degree passes 2, so that one level expands at most about
-    # 128 contacts per deep node, as 64 rows of a path do. Both numbers are
-    # hand-tuned on paths glued to BA graphs, not derived from the word size.
-    width = max(1, min(64, 128 * deep.size // max(int(degrees[deep].sum()), 1)))
+    # A frontier block holds 128 sources over the deep nodes' mean degree, so a
+    # level expands about 128 contacts per deep node: 64 sources in a tree, the
+    # sparsest deep component (m > 512 nodes, 2(m - 1) contacts), fewer in denser
+    # ones. The 128 is hand-tuned on paths glued to BA graphs, not derived from the word size.
+    width = max(1, 128 * deep.size // max(int(degrees[deep].sum()), 1))
 
     def blocks():
         for i in range(0, shallow.size, _WORD_BITS):

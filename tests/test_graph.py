@@ -267,9 +267,9 @@ def _blocks(sources, width: int) -> list[list[int]]:
 
 
 def _frontier_width(g: Graph, sources: list[int]) -> int:
-    """Sources per frontier block: 128 over the mean degree of the deep ``sources``, 1 to 64."""
+    """Sources per frontier block: 128 over the mean degree of the deep ``sources``, at least 1."""
     contacts = sum(len(g.adjacency[s]) for s in sources)
-    return max(1, min(64, 128 * len(sources) // max(contacts, 1)))
+    return max(1, 128 * len(sources) // max(contacts, 1))
 
 
 def _shell_pass_plan(g: Graph, levels: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -312,7 +312,8 @@ def test_shell_counts_across_word_boundaries(monkeypatch, n):
     # sparse random graphs add isolated nodes and several components. Below
     # the real level limit, the sources of a component that a double sweep
     # finds deeper than the limit run in frontier blocks, and any other
-    # source runs in a 64-source word block, however deep. In order of
+    # source runs in a 64-source word block, however deep (a frontier block
+    # over such a shallow limit may hold more than 64 sources). In order of
     # eccentricity the shallow sources come first, so the word blocks and
     # frontier blocks hold sources from all over the node range (at n =
     # 200, limits 1 and 2); in node order they interleave (at n = 65 and 130)
@@ -350,7 +351,7 @@ def _path600_glued_to_ba300() -> Graph:
     return Graph.build(path + [("p599", labels[0])] + ba_edges)
 
 
-def test_shell_pass_falls_back_only_in_deep_components(monkeypatch):
+def test_shell_pass_runs_frontier_blocks_only_in_deep_components(monkeypatch):
     # a 600-node path, then BA(2000, 3): the path's sources 0-599 run in
     # frontier blocks of 64 (a path's mean degree is about 2), and the BA
     # sources run in word blocks from source 600 on, since their component
@@ -371,8 +372,8 @@ def test_shell_counts_on_long_paths_across_words(g):
     check_shell_table(g)
 
 
-@pytest.mark.parametrize("n, fallbacks", [(513, 0), (514, 514)])
-def test_word_pass_runs_up_to_its_level_limit(monkeypatch, n, fallbacks):
+@pytest.mark.parametrize("n, frontier_sources", [(513, 0), (514, 514)])
+def test_word_pass_runs_up_to_its_level_limit(monkeypatch, n, frontier_sources):
     # a path's end node 0 has eccentricity n - 1, and a double sweep from it
     # finds that depth: 512 levels stay in the word pass, and 513 send every
     # source to the frontier blocks
@@ -380,11 +381,11 @@ def test_word_pass_runs_up_to_its_level_limit(monkeypatch, n, fallbacks):
     g = path_graph(n)
     tried, calls = _spy_on_shell_pass(monkeypatch)
     check_shell_table(g)
-    assert calls == _blocks(range(n - fallbacks, n), 64)
-    assert tried == (_blocks(range(n), 64) if fallbacks == 0 else [])
+    assert calls == _blocks(range(n - frontier_sources, n), 64)
+    assert tried == (_blocks(range(n), 64) if frontier_sources == 0 else [])
 
 
-def test_shell_pass_falls_back_to_bfs_from_the_first_deep_block(monkeypatch):
+def test_frontier_blocks_take_a_deep_component_after_shallow_word_blocks(monkeypatch):
     # a 70-node star, then a 600-node path: sources 0-69 lie in the star, two
     # levels deep, and run as two word blocks; the path is deeper than the
     # word pass's level limit, and its sources run in frontier blocks
@@ -437,23 +438,43 @@ def test_no_word_block_holds_a_source_of_a_deep_component(monkeypatch):
     assert not any(g.node_labels[s].startswith("p") for block in tried for s in block)
 
 
-def test_frontier_blocks_hold_only_deep_sources_and_follow_their_degree(monkeypatch):
-    # BA(300, 3) on its own, then path(600) glued to another BA(300, 3): the
-    # glued component is deep, and its dense part raises its mean degree to
-    # about 3.3, so its frontier blocks hold 128 // 3.3 = 38 sources, not 64
+def _ba300_beside_glued() -> Graph:
+    """BA(300, 3) labelled s0..s299, then ``_path600_glued_to_ba300``."""
     ba, glued = barabasi_albert_graph(300, 3, 2), _path600_glued_to_ba300()
     edges = [(f"s{v}", f"s{u}") for v in range(300) for u in ba.adjacency[v]]
     labels = glued.node_labels
-    g = Graph.build(edges + [(labels[v], labels[u]) for v in range(900) for u in glued.adjacency[v]])
+    return Graph.build(edges + [(labels[v], labels[u]) for v in range(900) for u in glued.adjacency[v]])
+
+
+def _caterpillar(spine: int, prefix: str = "") -> list[tuple[str, str]]:
+    """The edges of a ``spine``-node path with one leaf on each of its nodes."""
+    edges = [(f"{prefix}p{i}", f"{prefix}p{i + 1}") for i in range(spine - 1)]
+    return edges + [(f"{prefix}p{i}", f"{prefix}l{i}") for i in range(spine)]
+
+
+def test_frontier_blocks_hold_only_deep_sources_and_follow_their_degree(monkeypatch):
+    # BA(300, 3) on its own, then path(600) glued to another BA(300, 3): the
+    # glued component is deep, and its dense part raises its mean degree to
+    # about 3.3, so its frontier blocks hold 128 // 3.3 = 38 sources. A
+    # caterpillar on a 520-node spine is a tree 521 levels deep, with the
+    # fewest contacts a component of its size can have, so its blocks, alone
+    # or beside a second one, hold 128 * n_d // c_d = 64 sources: the width's
+    # bound is tight
     tried, calls = _spy_on_shell_pass(monkeypatch)
-    check_shell_table(g)
-    shallow = [s for s in range(g.node_count) if g.node_labels[s].startswith("s")]
-    deep = [s for s in range(g.node_count) if not g.node_labels[s].startswith("s")]
-    width = 128 * len(deep) // sum(len(g.adjacency[s]) for s in deep)
-    assert width == 38
-    assert sorted(s for block in calls for s in block) == deep
-    assert max(map(len, calls)) == width
-    assert sorted(s for block in tried for s in block) == shallow
+    for g, width in (
+        (_ba300_beside_glued(), 38),
+        (Graph.build(_caterpillar(520)), 64),
+        (Graph.build(_caterpillar(520, "a") + _caterpillar(520, "b")), 64),
+    ):
+        tried.clear()
+        calls.clear()
+        check_shell_table(g)
+        shallow = [s for s in range(g.node_count) if g.node_labels[s].startswith("s")]
+        deep = [s for s in range(g.node_count) if not g.node_labels[s].startswith("s")]
+        assert 128 * len(deep) // sum(len(g.adjacency[s]) for s in deep) == width
+        assert sorted(s for block in calls for s in block) == deep
+        assert max(map(len, calls)) == width
+        assert sorted(s for block in tried for s in block) == shallow
 
 
 def _canonical(g: Graph):
