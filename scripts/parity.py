@@ -19,7 +19,10 @@ parts the other way round, shallow words first, then the deep path; and
 the path glued by one edge to the BA graph, one deep component whose dense
 part narrows its frontier blocks. These three run cc, ld and fld. A chain
 of 70 diamonds (211 nodes) runs bc: its path counts pass 2**63, so bc's
-counts widen to Python integers.
+counts widen to Python integers. Two small inputs run ``rank`` with dc
+and ``compare``: one with a UTF-8 byte-order mark, CRLF line ends and two
+self-loops, which give one warning line; one with a self-loop and then a
+line of three labels, which gives one error line and no warning.
 Each run's rows, manifest, stdout, stderr and exit code are compared. Every
 difference is printed, and the script exits 1 if there is any, 0 otherwise
 (2 if BASE cannot be unpacked). The two trees of a run run side by side.
@@ -69,6 +72,13 @@ ONLY_ON_GRAPH = {
     "ba300path600": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
     "path600glueba300": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
     "diamonds70": {"rank-bc": ["rank", "--measure", "bc"]},
+    "bomcrlf": {c: COMMANDS[c] for c in ("rank-dc", "compare")},
+    "badline": {c: COMMANDS[c] for c in ("rank-dc", "compare")},
+}
+# inputs as raw bytes: a byte-order mark, CRLF line ends, self-loops, a malformed line
+RAW_INPUTS = {
+    "bomcrlf": b"\xef\xbb\xbfa b\r\nb c\r\nc c\r\nc d\r\nd e\r\ne e\r\ne a\r\nb f\r\n",
+    "badline": b"a b\nb b\nb c d\nc d\n",
 }
 
 
@@ -122,6 +132,9 @@ def write_inputs(folder: Path) -> dict[str, Path]:
     for name, lines in generated.items():
         paths[name] = folder / f"{name}.edges"
         paths[name].write_text("\n".join(lines) + "\n")
+    for name, data in RAW_INPUTS.items():
+        paths[name] = folder / f"{name}.edges"
+        paths[name].write_bytes(data)
     return paths
 
 

@@ -10,7 +10,6 @@ manifest to stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -22,6 +21,15 @@ from .centrality import Measure, PowerIterationError, rank_nodes
 from .evaluation import compute_measure, tau_sweep, top_k_overlap
 from .graph import Graph, parse_edge_list
 from .si import SiConfig, _int_at_least, _real_in, lambda_from_beta, simulate
+
+# The interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib maps OpenSSL
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # Longest --lambda-range grid accepted (the paper's grid has 10 rates).
 _MAX_RATES = 1000
@@ -270,7 +278,7 @@ def main(argv=None) -> int:
                 "tool": "fldrank",
                 "version": __version__,
                 "command": args.command,
-                "input": {"path": str(args.input), "sha256": hashlib.sha256(data).hexdigest()},
+                "input": {"path": str(args.input), "sha256": sha256(data).hexdigest()},
                 "params": params,
                 "output": {"format": args.output, "path": str(args.out) if args.out else None},
             }

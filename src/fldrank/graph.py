@@ -153,22 +153,24 @@ def parse_edge_list(text: str | bytes) -> Graph:
         except UnicodeDecodeError as exc:  # exc.object and exc.start leave out a BOM
             lineno = exc.object.count(b"\n", 0, exc.start) + 1
             raise EdgeListError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", lineno) from None
-    edges: list[tuple[str, str]] = []
     self_loops = 0
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", "%")):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListError(f"expected 2 labels, got {len(tokens)}: {raw!r}", lineno)
-        a, b = tokens
-        if a == b:
-            self_loops += 1
-        edges.append((a, b))
-    if self_loops:
+
+    def edges():  # streamed into Graph.build, so no list holds every label pair
+        nonlocal self_loops
+        for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+            line = raw.strip()
+            if not line or line.startswith(("#", "%")):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise EdgeListError(f"expected 2 labels, got {len(tokens)}: {raw!r}", lineno)
+            self_loops += tokens[0] == tokens[1]
+            yield tokens
+
+    g = Graph.build(edges())
+    if self_loops:  # here, not in the generator, so stacklevel=2 is the caller
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
-    return Graph.build(edges)
+    return g
 
 
 def load_edge_list(path: str | Path) -> Graph:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -647,6 +648,46 @@ def test_manifest_hashes_the_bytes_it_parsed(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
     assert manifest["input"]["sha256"] == hashlib.sha256(edges.read_bytes()).hexdigest()
     assert len(reads) == 1
+
+
+def cli_in_a_child(tmp_path, argv, prelude=""):
+    """Run ``main(argv)`` in a fresh interpreter after ``prelude``: its manifest and
+    whether OpenSSL's ``_hashlib`` was loaded by the end."""
+    child = (
+        f"import sys; {prelude}\nimport fldrank.cli as cli\n"
+        "code = cli.main(sys.argv[1:]); print(code, '_hashlib' in sys.modules)"
+    )
+    src = str(Path(fldrank.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv, "--out", str(tmp_path / "rows.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, loaded = done.stdout.split()
+    assert code == "0", done.stderr
+    return json.loads((tmp_path / "rows.csv.manifest.json").read_text()), loaded == "True"
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256",
+)
+def test_compare_hashes_its_input_without_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto, a few MB of resident memory, on import
+    manifest, loaded = cli_in_a_child(tmp_path, ["compare", "--input", str(karate_path())])
+    assert not loaded
+    assert manifest["input"]["sha256"] == hashlib.sha256(karate_path().read_bytes()).hexdigest()
+
+
+def test_manifest_digest_falls_back_to_hashlib(tmp_path):
+    prelude = "sys.modules['_sha2'] = sys.modules['_sha256'] = None"
+    argv = ["rank", "--measure", "dc", "--input", str(kite_path())]
+    manifest, loaded = cli_in_a_child(tmp_path, argv, prelude)
+    assert loaded == (importlib.util.find_spec("_hashlib") is not None)
+    assert manifest["input"]["sha256"] == hashlib.sha256(kite_path().read_bytes()).hexdigest()
 
 
 def test_manifest_goes_to_stderr_without_out(capsys):

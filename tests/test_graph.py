@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,7 @@ def test_parse_interleaved_self_loops_keep_first_appearance_order():
     with pytest.warns(UserWarning) as record:
         g = parse_edge_list("b b\na c\nc b\nd d\n")
     assert [str(w.message) for w in record] == ["dropped 2 self-loop(s)"]
+    assert record[0].filename == __file__  # the caller's line, not parse_edge_list's
     assert g.node_labels == ("b", "a", "c", "d")
     assert g.edge_count == 2
 
@@ -86,6 +89,15 @@ def test_parse_malformed_line_reports_line_number():
         parse_edge_list("1 2\n1 2 3\n")
     assert err.value.line_number == 2
     assert "line 2" in str(err.value)
+
+
+def test_parse_error_after_a_self_loop_warns_nothing():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EdgeListError) as err:
+            parse_edge_list("a a\nb c\nb c d\n")
+    assert err.value.line_number == 3
+    assert caught == []
 
 
 def test_parse_single_token_line_is_an_error():
