@@ -19,10 +19,12 @@ parts the other way round, shallow words first, then the deep path; and
 the path glued by one edge to the BA graph, one deep component whose dense
 part narrows its frontier blocks. These three run cc, ld and fld. A chain
 of 70 diamonds (211 nodes) runs bc: its path counts pass 2**63, so bc's
-counts widen to Python integers. Two small inputs run ``rank`` with dc
+counts widen to Python integers. Three small inputs run ``rank`` with dc
 and ``compare``: one with a UTF-8 byte-order mark, CRLF line ends and two
 self-loops, which give one warning line; one with a self-loop and then a
-line of three labels, which gives one error line and no warning.
+line of three labels, which gives one error line and no warning; and one
+whose labels hold a comma, a double quote and a non-ASCII letter, which
+the CSV rows quote (the first two) and the output file holds as UTF-8.
 Each run's rows, manifest, stdout, stderr and exit code are compared. Every
 difference is printed, and the script exits 1 if there is any, 0 otherwise
 (2 if BASE cannot be unpacked). The two trees of a run run side by side.
@@ -74,11 +76,14 @@ ONLY_ON_GRAPH = {
     "diamonds70": {"rank-bc": ["rank", "--measure", "bc"]},
     "bomcrlf": {c: COMMANDS[c] for c in ("rank-dc", "compare")},
     "badline": {c: COMMANDS[c] for c in ("rank-dc", "compare")},
+    "quoting": {c: COMMANDS[c] for c in ("rank-dc", "compare")},
 }
-# inputs as raw bytes: a byte-order mark, CRLF line ends, self-loops, a malformed line
+# inputs as raw bytes: a byte-order mark, CRLF line ends, self-loops, a malformed line,
+# labels holding a comma, a double quote and a non-ASCII letter
 RAW_INPUTS = {
     "bomcrlf": b"\xef\xbb\xbfa b\r\nb c\r\nc c\r\nc d\r\nd e\r\ne e\r\ne a\r\nb f\r\n",
     "badline": b"a b\nb b\nb c d\nc d\n",
+    "quoting": b'1,1 1,2\n1,2 "q"\n"q" \xc3\xbc\n\xc3\xbc 1,1\n',
 }
 
 

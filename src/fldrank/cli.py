@@ -43,12 +43,18 @@ _COLUMNS = {
 
 
 def _cell(value, output: str):
-    """A row cell as CSV text or a JSON value: bools as 0/1, floats to 6 decimals."""
+    """A row cell as CSV text or a JSON value: bools as 0/1, floats to 6 decimals.
+
+    CSV text holding ``,`` or ``"`` is quoted, its ``"`` doubled (RFC 4180).
+    """
     if isinstance(value, bool):
         value = int(value)
     elif isinstance(value, float):
         return f"{value:.6f}" if output == "csv" else round(value, 6)
-    return str(value) if output == "csv" else value
+    if output == "json":
+        return value
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
 
 
 def _render(columns: tuple[str, ...], rows, output: str) -> str:
@@ -284,8 +290,8 @@ def main(argv=None) -> int:
             }
             manifest_text = json.dumps(manifest, indent=2) + "\n"
             if args.out:
-                Path(args.out).write_text(payload, newline="")
-                Path(str(args.out) + ".manifest.json").write_text(manifest_text, newline="")
+                for path, text in ((args.out, payload), (f"{args.out}.manifest.json", manifest_text)):
+                    Path(path).write_text(text, encoding="utf-8", newline="")
             else:
                 sys.stdout.write(payload)
                 sys.stderr.write(manifest_text)

@@ -57,20 +57,13 @@ class Graph:
         collapse to one; self-loops are dropped.
         """
         ids: dict[str, int] = {}
-
-        def intern(label: str) -> int:
-            if label not in ids:
-                ids[label] = len(ids)
-            return ids[label]
-
         for label in nodes:
-            intern(label)
+            ids.setdefault(label, len(ids))
         pairs: set[tuple[int, int]] = set()
-        for a, b in edges:
-            i, j = intern(a), intern(b)
-            if i == j:
-                continue
-            pairs.add((i, j) if i < j else (j, i))
+        for a, b in edges:  # a is interned before b: ids follow first appearance
+            i, j = ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))
+            if i != j:
+                pairs.add((i, j) if i < j else (j, i))
         adj: list[list[int]] = [[] for _ in range(len(ids))]
         for i, j in pairs:
             adj[i].append(j)

@@ -208,23 +208,26 @@ class _Words:
 class ReplicateStreams:
     """Uniform draws for a batch of replicate rows, row r on the PCG64 seeded by ``words[r]``.
 
-    Every row's Generator is built at the batch's first draw. A one-row
-    batch reads it directly; a wider batch fills every row's buffer in the
-    same loop, and each row then keeps its unread uniforms at the end of
-    its buffer, which its Generator refills only when a step needs more.
+    Every row's Generator is built with the batch, and in a wider batch
+    fills the row's buffer at once. A one-row batch reads its Generator
+    directly; in a wider batch each row keeps its unread uniforms at the end
+    of its buffer, which its Generator refills only when a step needs more.
     """
 
     def __init__(self, words: np.ndarray):
-        self._words = words
-        self._rngs: list[np.random.Generator] = []
+        rows = len(words)
+        width = min(_ROW_BUFFER, _STREAM_BUFFER // rows) if rows > 1 else 0
+        self._buf = np.empty((rows, width))
+        self._pos, self._base = np.zeros(rows, dtype=np.intp), np.arange(rows) * width
+        self._rngs = [np.random.Generator(np.random.PCG64(_Words(row))) for row in words]
+        for rng, buf in zip(self._rngs, self._buf):
+            rng.random(out=buf)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._rngs)
 
     def draw(self, counts: np.ndarray) -> np.ndarray:
         """The next ``counts[r]`` uniforms of every row r (0 sits the step out), in row order."""
-        if not self._rngs:
-            self._start(int(counts.max()))
         if len(self) == 1:
             return self._rngs[0].random(counts.item())
         end = self._pos + counts
@@ -236,16 +239,6 @@ class ReplicateStreams:
         ends = counts.cumsum()
         cells = (self._base + end - ends).repeat(counts)
         return self._buf.ravel()[cells + np.arange(ends[-1])]
-
-    def _start(self, need: int) -> None:
-        """Build every row's Generator and fill its whole buffer (a one-row batch has none)."""
-        rows = len(self)
-        width = max(min(_ROW_BUFFER, _STREAM_BUFFER // rows), need) if rows > 1 else 0
-        self._buf = np.empty((rows, width))
-        self._pos, self._base = np.zeros(rows, dtype=np.intp), np.arange(rows) * width
-        for words, buf in zip(self._words, self._buf):
-            self._rngs.append(np.random.Generator(np.random.PCG64(_Words(words))))
-            self._rngs[-1].random(out=buf)
 
     def _refill(self, row: int, need: int) -> None:
         """Keep the row's unread uniforms and fill the rest of its buffer from its stream."""

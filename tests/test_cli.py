@@ -1,5 +1,8 @@
+import codecs
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -400,6 +403,58 @@ def test_non_decimal_digit_labels_rank_as_text(tmp_path, capsys):
     code, out, _ = run(capsys, ["rank", "--input", str(edges), "--measure", "dc"])
     assert code == 0
     assert [row[1] for row in rows_of(out)[1]] == ["1", "3", "\u00b2"]
+
+
+def test_csv_quotes_labels_that_hold_commas_or_quotes(tmp_path, capsys):
+    # RFC 4180: such a cell is wrapped in " and its own " doubled; JSON needs neither
+    edges = tmp_path / "quoted.edges"
+    edges.write_text('1,1 1,2\n1,2 "q"\n')
+    labels = ["1,2", '"q"', "1,1"]
+    code, out, _ = run(capsys, ["rank", "--input", str(edges), "--measure", "dc"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [4] * 4
+    assert [row[1] for row in rows[1:]] == labels
+    assert out.split("\n")[1:3] == ['1,"1,2",2.000000,0', '2,"""q""",1.000000,0']
+    code, out, _ = run(capsys, ["rank", "--input", str(edges), "--measure", "dc", "--output", "json"])
+    assert code == 0
+    assert json.loads(out) == [
+        {"rank": rank, "node": label, "score": score, "undefined": 0}
+        for rank, label, score in zip([1, 2, 3], labels, [2.0, 1.0, 1.0])
+    ]
+
+
+# a child whose preferred encoding is ASCII, where the C locale has one
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize(
+    "setting", [_ASCII_LOCALE, {"PYTHONWARNDEFAULTENCODING": "1"}], ids=["ascii-locale", "warn-encoding"]
+)
+def test_out_files_are_utf8_in_any_locale(tmp_path, setting):
+    src = str(Path(fldrank.cli.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, **setting, "PYTHONPATH": path}
+    probe = "import locale; print(locale.getpreferredencoding(False))"
+    preferred = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    if setting is _ASCII_LOCALE and codecs.lookup(preferred).name == "utf-8":
+        pytest.skip("the C locale's preferred encoding is UTF-8 here")
+    edges = tmp_path / "utf8.edges"
+    edges.write_bytes("\u00fc \u4e2d\n\u00e9 \u00fc\n".encode("utf-8"))
+    out = tmp_path / "rows.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "fldrank.cli", "rank", "--measure", "dc", "--input", str(edges)]
+        + ["--out", str(out)],
+        env=env,
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert not [line for line in done.stderr.splitlines() if line.startswith(b"warning:")]
+    _, rows = rows_of(out.read_bytes().decode("utf-8"))
+    assert [row[1] for row in rows] == ["\u00fc", "\u00e9", "\u4e2d"]
+    assert json.loads((tmp_path / "rows.csv.manifest.json").read_bytes().decode("utf-8"))
 
 
 def test_infinite_beta_is_rate_zero(capsys):

@@ -571,9 +571,9 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
 def test_streams_match_replicate_rng_draw_for_draw(seed):
     streams = ReplicateStreams(seed_words(seed, EDGE_KEYS))
     refs = [replicate_rng(seed, key) for key in EDGE_KEYS]
-    w = _ROW_BUFFER  # each of the four rows gets a buffer this wide at the first draw
+    w = _ROW_BUFFER  # each of the four rows gets a buffer this wide, filled with the batch
     schedule = [
-        [3, 0, w, 1],  # every row fills at the batch's first draw; row 2 drains it
+        [3, 0, w, 1],  # every row reads from the fill made with the batch; row 2 drains it
         [w - 3, 0, 1, 5],  # row 0 drains; row 2 refills from offset w
         [0, w - 2, 0, 2],  # row 1's first draw leaves 2 unread
         # rows 1 and 3 refill in one step, and their draws straddle the end of
@@ -592,6 +592,14 @@ def test_streams_match_replicate_rng_draw_for_draw(seed):
     ]
     for counts in schedule:
         got = streams.draw(np.array(counts))
+        assert got.tolist() == _expected_draws(refs, counts).tolist()
+    # a first draw past a row's buffer widens every row before any has read:
+    # row 0 refills, and the other rows read on from their fills, moved to the
+    # end of the wider buffer
+    fresh = ReplicateStreams(seed_words(seed, EDGE_KEYS))
+    refs = [replicate_rng(seed, key) for key in EDGE_KEYS]
+    for counts in [[w + 5, 0, 1, 0], [0, 3, 1, w]]:
+        got = fresh.draw(np.array(counts))
         assert got.tolist() == _expected_draws(refs, counts).tolist()
     # a one-row batch reads its Generator directly, below, past and far past a buffer's width
     lone = ReplicateStreams(seed_words(seed, EDGE_KEYS[-1:]))
