@@ -10,6 +10,8 @@ manifest to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
 import json
 import math
 import sys
@@ -30,6 +32,11 @@ except ImportError:
         from _sha256 import sha256
     except ImportError:
         from hashlib import sha256
+
+# The built-in modules hashlib falls back on without OpenSSL's _hashlib
+_BUILTIN_HASHES = ("_md5", "_sha1", "_blake2", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
 
 # Longest --lambda-range grid accepted (the paper's grid has 10 rates).
 _MAX_RATES = 1000
@@ -268,12 +275,34 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
+@contextlib.contextmanager
+def _without_openssl():
+    """Block ``_hashlib`` for numpy.random's unused HMAC, unless hashlib or hmac is
+    loaded or a built-in hash that hashlib falls back on is missing (it logs an error)."""
+    block = not {"_hashlib", "hashlib", "hmac"} & sys.modules.keys() and all(
+        map(importlib.util.find_spec, _BUILTIN_HASHES)
+    )
+    if block:
+        sys.modules["_hashlib"] = None
+    try:
+        yield
+    finally:
+        if block:
+            sys.modules.pop("_hashlib", None)
+
+
 def main(argv=None) -> int:
+    """Run the CLI on ``argv`` (default: ``sys.argv[1:]``) and return its exit code.
+
+    While it runs, ``_hashlib`` is blocked, so that an SI run's numpy.random
+    import maps no OpenSSL. A process that imported hashlib or hmac before
+    calling ``main`` keeps OpenSSL; the block is lifted when ``main`` returns.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "top", None) is not None and args.measure is None:
         parser.error("--top requires --measure")
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _without_openssl():
         # one "warning: ..." line per library warning, without its source line
         warnings.showwarning = _print_warning
         try:
@@ -292,8 +321,9 @@ def main(argv=None) -> int:
             if args.out:
                 for path, text in ((args.out, payload), (f"{args.out}.manifest.json", manifest_text)):
                     Path(path).write_text(text, encoding="utf-8", newline="")
-            else:
-                sys.stdout.write(payload)
+            else:  # UTF-8 like the --out files, whatever the locale
+                sys.stdout.flush()
+                sys.stdout.buffer.write(payload.encode("utf-8"))
                 sys.stderr.write(manifest_text)
             return 0
         except (PowerIterationError, ValueError, OSError) as exc:  # EdgeListError is a ValueError

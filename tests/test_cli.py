@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -428,10 +429,9 @@ def test_csv_quotes_labels_that_hold_commas_or_quotes(tmp_path, capsys):
 _ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
-@pytest.mark.parametrize(
-    "setting", [_ASCII_LOCALE, {"PYTHONWARNDEFAULTENCODING": "1"}], ids=["ascii-locale", "warn-encoding"]
-)
-def test_out_files_are_utf8_in_any_locale(tmp_path, setting):
+def _rank_utf8_labels_in_a_child(tmp_path, setting, out_args=()):
+    """Run ``rank --measure dc`` on non-ASCII labels in a child under ``setting``;
+    skip where that setting's preferred encoding is UTF-8 after all."""
     src = str(Path(fldrank.cli.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, **setting, "PYTHONPATH": path}
@@ -443,18 +443,33 @@ def test_out_files_are_utf8_in_any_locale(tmp_path, setting):
         pytest.skip("the C locale's preferred encoding is UTF-8 here")
     edges = tmp_path / "utf8.edges"
     edges.write_bytes("\u00fc \u4e2d\n\u00e9 \u00fc\n".encode("utf-8"))
-    out = tmp_path / "rows.csv"
-    done = subprocess.run(
-        [sys.executable, "-m", "fldrank.cli", "rank", "--measure", "dc", "--input", str(edges)]
-        + ["--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "fldrank.cli", "rank", "--measure", "dc", "--input", str(edges), *out_args],
         env=env,
         capture_output=True,
     )
+
+
+@pytest.mark.parametrize(
+    "setting", [_ASCII_LOCALE, {"PYTHONWARNDEFAULTENCODING": "1"}], ids=["ascii-locale", "warn-encoding"]
+)
+def test_out_files_are_utf8_in_any_locale(tmp_path, setting):
+    out = tmp_path / "rows.csv"
+    done = _rank_utf8_labels_in_a_child(tmp_path, setting, ["--out", str(out)])
     assert done.returncode == 0, done.stderr
     assert not [line for line in done.stderr.splitlines() if line.startswith(b"warning:")]
     _, rows = rows_of(out.read_bytes().decode("utf-8"))
     assert [row[1] for row in rows] == ["\u00fc", "\u00e9", "\u4e2d"]
     assert json.loads((tmp_path / "rows.csv.manifest.json").read_bytes().decode("utf-8"))
+
+
+def test_stdout_rows_are_utf8_in_any_locale(tmp_path):
+    out = tmp_path / "rows.csv"
+    to_file = _rank_utf8_labels_in_a_child(tmp_path, _ASCII_LOCALE, ["--out", str(out)])
+    assert to_file.returncode == 0, to_file.stderr
+    to_stdout = _rank_utf8_labels_in_a_child(tmp_path, _ASCII_LOCALE)
+    assert to_stdout.returncode == 0, to_stdout.stderr
+    assert to_stdout.stdout == out.read_bytes()
 
 
 def test_infinite_beta_is_rate_zero(capsys):
@@ -706,24 +721,38 @@ def test_manifest_hashes_the_bytes_it_parsed(tmp_path, monkeypatch):
 
 
 def cli_in_a_child(tmp_path, argv, prelude=""):
-    """Run ``main(argv)`` in a fresh interpreter after ``prelude``: its manifest and
-    whether OpenSSL's ``_hashlib`` was loaded by the end."""
+    """Run ``main(argv)`` in a fresh interpreter after ``prelude``: its rows and
+    manifest bytes, its stderr, the modules loaded when ``main`` returned, the
+    module hashlib's sha256 came from (None without hashlib), and whether
+    ``import _hashlib`` then succeeds."""
     child = (
-        f"import sys; {prelude}\nimport fldrank.cli as cli\n"
-        "code = cli.main(sys.argv[1:]); print(code, '_hashlib' in sys.modules)"
+        f"import json, sys; {prelude}\nimport fldrank.cli as cli\n"
+        "code = cli.main(sys.argv[1:]); modules = sorted(sys.modules)\n"
+        "sha256_from = 'hashlib' in sys.modules and sys.modules['hashlib'].sha256.__module__\n"
+        "try:\n    import _hashlib\nexcept ImportError:\n    _hashlib = None\n"
+        "print(json.dumps([code, modules, sha256_from or None, _hashlib is not None]))"
     )
     src = str(Path(fldrank.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "rows.csv"
     done = subprocess.run(
-        [sys.executable, "-c", child, *argv, "--out", str(tmp_path / "rows.csv")],
+        [sys.executable, "-c", child, *argv, "--out", str(out)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    code, loaded = done.stdout.split()
-    assert code == "0", done.stderr
-    return json.loads((tmp_path / "rows.csv.manifest.json").read_text()), loaded == "True"
+    code, modules, sha256_from, importable = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    manifest = (tmp_path / "rows.csv.manifest.json").read_bytes()
+    return SimpleNamespace(
+        rows=out.read_bytes(),
+        manifest=manifest,
+        stderr=done.stderr,
+        modules=set(modules),
+        sha256_from=sha256_from,
+        hashlib_importable=importable,
+    )
 
 
 @pytest.mark.skipif(
@@ -732,17 +761,59 @@ def cli_in_a_child(tmp_path, argv, prelude=""):
 )
 def test_compare_hashes_its_input_without_openssl(tmp_path):
     # hashlib maps OpenSSL's libcrypto, a few MB of resident memory, on import
-    manifest, loaded = cli_in_a_child(tmp_path, ["compare", "--input", str(karate_path())])
-    assert not loaded
-    assert manifest["input"]["sha256"] == hashlib.sha256(karate_path().read_bytes()).hexdigest()
+    child = cli_in_a_child(tmp_path, ["compare", "--input", str(karate_path())])
+    assert not {"hashlib", "_hashlib"} & child.modules
+    digest = json.loads(child.manifest)["input"]["sha256"]
+    assert digest == hashlib.sha256(karate_path().read_bytes()).hexdigest()
 
 
 def test_manifest_digest_falls_back_to_hashlib(tmp_path):
     prelude = "sys.modules['_sha2'] = sys.modules['_sha256'] = None"
     argv = ["rank", "--measure", "dc", "--input", str(kite_path())]
-    manifest, loaded = cli_in_a_child(tmp_path, argv, prelude)
-    assert loaded == (importlib.util.find_spec("_hashlib") is not None)
-    assert manifest["input"]["sha256"] == hashlib.sha256(kite_path().read_bytes()).hexdigest()
+    child = cli_in_a_child(tmp_path, argv, prelude)
+    assert ("_hashlib" in child.modules) == (importlib.util.find_spec("_hashlib") is not None)
+    digest = json.loads(child.manifest)["input"]["sha256"]
+    assert digest == hashlib.sha256(kite_path().read_bytes()).hexdigest()
+
+
+# SI runs load numpy.random, which imports secrets, hmac and hashlib
+_SI_RUNS = {
+    "tau": ["tau", "--measure", "dc", "--replicates", "10", "--input", str(karate_path())],
+    "si": ["si", "--top", "3", "--measure", "dc", "--beta", "3", "--replicates", "10",
+           "--input", str(karate_path())],
+}
+_HAS_BUILTIN_HASHES = all(map(importlib.util.find_spec, fldrank.cli._BUILTIN_HASHES))
+
+
+@pytest.mark.skipif(not _HAS_BUILTIN_HASHES, reason="a built-in hash module is missing here")
+@pytest.mark.parametrize("command", sorted(_SI_RUNS))
+def test_si_runs_load_numpy_random_without_openssl(tmp_path, command):
+    child = cli_in_a_child(tmp_path, _SI_RUNS[command])
+    assert {"numpy.random", "hmac"} <= child.modules
+    assert child.sha256_from in ("_sha2", "_sha256")  # hashlib took the built-in hashes
+    assert "_hashlib" not in child.modules
+    assert child.stderr == ""
+    # the block ends with main
+    assert child.hashlib_importable == (importlib.util.find_spec("_hashlib") is not None)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None, reason="no OpenSSL here")
+def test_missing_builtin_hash_keeps_openssl_and_a_clean_stderr(tmp_path):
+    # blocked _hashlib and missing _md5: hashlib would log "code for hash md5
+    # was not found" with a traceback
+    child = cli_in_a_child(tmp_path, _SI_RUNS["tau"], "sys.modules['_md5'] = None")
+    assert child.sha256_from == "_hashlib"
+    assert child.stderr == ""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None, reason="no OpenSSL here")
+@pytest.mark.parametrize("command", sorted(_SI_RUNS))
+def test_si_rows_do_not_depend_on_openssl(tmp_path, command):
+    plain = cli_in_a_child(tmp_path, _SI_RUNS[command])
+    with_openssl = cli_in_a_child(tmp_path, _SI_RUNS[command], "import _hashlib")
+    assert with_openssl.sha256_from == "_hashlib"
+    assert plain.rows == with_openssl.rows
+    assert plain.manifest == with_openssl.manifest
 
 
 def test_manifest_goes_to_stderr_without_out(capsys):
