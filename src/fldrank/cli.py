@@ -14,9 +14,16 @@ import contextlib
 import importlib.util
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
+
+# Set before the first sibling import loads numpy. Each extra OpenBLAS worker
+# spins about 0.1 s of CPU after the library loads, though the CLI gives it no
+# work, and splitting ec's products across threads makes its scores depend on
+# the core count. An explicit OPENBLAS_NUM_THREADS still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .centrality import Measure, PowerIterationError, rank_nodes

@@ -850,3 +850,51 @@ print(sorted(set(sys.modules) - loaded))
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+# OpenBLAS takes its thread count from the first of these that is set. Since
+# this process imported fldrank.cli it holds OPENBLAS_NUM_THREADS=1, so the
+# children below start without all three
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python_without_blas_threads(code, *args, **blas):
+    """Run ``code`` in a child with no BLAS thread variable but ``blas``; its stdout."""
+    src = str(Path(fldrank.cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env |= {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **blas}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
+# BA(10001, 3) is past the 10000 nodes from which OpenBLAS splits ec's products
+_EC_THREADS_AND_SCORES = """
+import hashlib, os, sys
+import fldrank.cli
+sys.path.insert(0, sys.argv[1])
+from conftest import barabasi_albert_graph
+scores = fldrank.eigenvector_centrality(barabasi_albert_graph(10001, 3, 0))[0].scores
+print(len(os.listdir("/proc/self/task")), hashlib.sha256(scores.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs OpenBLAS on one thread anyway")
+def test_cli_runs_openblas_on_one_thread():
+    # an idle OpenBLAS worker spins about 0.1 s of CPU after loading, and
+    # splitting the products makes ec's scores depend on the core count
+    tests = str(Path(__file__).parent)
+    threads, scores = _python_without_blas_threads(_EC_THREADS_AND_SCORES, tests)
+    assert threads == "1"
+    pinned = _python_without_blas_threads(_EC_THREADS_AND_SCORES, tests, OPENBLAS_NUM_THREADS="1")
+    assert scores == pinned[1]
+
+
+def test_only_the_cli_sets_a_blas_thread_default():
+    probe = "import os, {}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    # a program that imports fldrank as a library keeps its BLAS threads
+    assert _python_without_blas_threads(probe.format("fldrank.centrality")) == ["None"]
+    assert _python_without_blas_threads(probe.format("fldrank.cli")) == ["1"]
+    assert _python_without_blas_threads(probe.format("fldrank.cli"), OPENBLAS_NUM_THREADS="3") == ["3"]
