@@ -6,7 +6,7 @@ the ranking columns of all six measures side by side.
 
 import argparse
 
-from fldrank import Measure, bfs_distances, compute_measure, fuzzy_count_series, rank_nodes
+from fldrank import Measure, compute_measure, fuzzy_count_series, rank_nodes
 from fldrank.datasets import load_kite
 
 
@@ -14,7 +14,9 @@ def main() -> None:
     argparse.ArgumentParser(description=__doc__).parse_args()
     kite = load_kite()
 
-    series = fuzzy_count_series(bfs_distances(kite, kite.label_to_id["7"]).shell_counts)
+    # the shell table's row holds node 7's shell counts, then zeros past its depth
+    row = kite.shell_table[kite.label_to_id["7"]]
+    series = fuzzy_count_series(tuple(row[row > 0].tolist()))
     print("fuzzy counts around node 7:")
     print("  r   fuzzy     nodes within r")
     for r, fuzzy, real in zip(series.radii, series.counts, series.real_counts):

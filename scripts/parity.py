@@ -8,9 +8,10 @@ same input files: the bundled kite and karate graphs and generated
 BA(300, 3), path(300) and 12x12 grid graphs. On every graph the matrix runs
 ``rank`` with each of the six measures, ``compare``; ``si`` with and without
 ``--max-steps``, at rate 0 and with one replicate; and ``tau`` at one rate
-for each measure. Three more runs take one graph each: on karate, ``si``
-with 150 replicates (two SI batches of unequal length) and ``tau`` on the
-default grid; on kite, ``si --top`` past the node count, an error path.
+for each measure. Four more runs take one graph each: on karate, ``si``
+with 150 replicates (two SI batches of unequal length), ``si`` from the
+labelled seeds 1 and 34 (``--seeds``), and ``tau`` on the default grid; on
+kite, ``si --top`` past the node count, an error path.
 Five generated graphs run only ``rank``: path(1000), deep enough for fld's
 and ld's node blocks to run at many widths, with ld and with fld; a
 path(600) followed by BA(300, 3), whose path sources run the all-sources
@@ -64,6 +65,7 @@ ON_ONE_GRAPH = {
     "karate": {
         # karate's SI batches hold 105 rows: a batch of 105 and one of 45
         "si-two-batches": ["si", "--top", "3", "--measure", "dc", "--beta", "2", "--replicates", "150"],
+        "si-seeds": ["si", "--seeds", "1,34", "--lambda", "0.2", "--replicates", "5"],
         "tau-grid": ["tau", "--measure", "fld", "--t-eval", "3", "--replicates", "20"],
     },
 }

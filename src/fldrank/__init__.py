@@ -16,13 +16,13 @@ _EXPORTS = {
     "centrality": (
         "Measure PowerIterationError RankingList ScoreVector betweenness_centrality"
         " closeness_centrality degree_centrality eigenvector_centrality local_dimension"
-        " ols_slope oriented_scores rank_nodes shortest_path_counts"
+        " oriented_scores rank_nodes shortest_path_counts"
     ),
     "evaluation": "PairedSequence TauResult compute_measure kendall_tau tau_sweep top_k_overlap",
     "fld": "FuzzyCountSeries fuzzy_count_series fuzzy_local_dimension membership",
     "graph": (
-        "UNREACHABLE ComponentMap DistanceField EdgeListError Graph all_distance_fields"
-        " bfs_distances connected_components diameter load_edge_list parse_edge_list"
+        "UNREACHABLE ComponentMap EdgeListError Graph all_distance_fields"
+        " connected_components diameter load_edge_list parse_edge_list"
     ),
     "si": (
         "SiConfig TrajectoryEnsemble lambda_from_beta replicate_counts replicate_rng"

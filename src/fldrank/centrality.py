@@ -139,18 +139,6 @@ def _label_positions(labels: tuple[str, ...]) -> np.ndarray:
     return positions
 
 
-def ols_slope(x, y) -> float:
-    """Least-squares slope of y on x, centered form, no weighting."""
-    n = len(x)
-    if n < 2 or len(y) != n:
-        raise ValueError("need at least two aligned points")
-    x_bar = _sum(x) / n
-    y_bar = _sum(y) / n
-    num = _sum((a - x_bar) * (b - y_bar) for a, b in zip(x, y))
-    den = _sum((a - x_bar) ** 2 for a in x)
-    return num / den
-
-
 def _sum(values):
     """Left-to-right sum: the built-in sum() of floats is compensated from Python 3.12 on."""
     total = 0
@@ -445,11 +433,11 @@ def _log_log_slopes(g: Graph, measure: Measure, counts_of) -> ScoreVector:
     distance 0..w and one column per node (zero past the node's d_max), to
     its counts at radii 1..w, one row per radius.
 
-    Each slope has the bits of ``ols_slope`` on the node's own points: every
-    sum runs left to right from +0.0 (a ``cumsum`` down the radius rows, read
-    at the node's d_max), logs are ``math.log`` per value, and the mean of
-    ln 1..ln k and the squared deviations from it are computed once per depth
-    k in Python, since ``x ** 2`` (libm ``pow``) and ``x * x`` can differ.
+    Each slope has the bits of the centered least-squares formula on the
+    node's own points, every sum a left-to-right loop from +0.0 (a ``cumsum``
+    down the radius rows, read at the node's d_max). Logs are ``math.log``
+    per value; ln 1..ln k's mean and squared deviations are computed once per
+    depth k in Python, since ``x ** 2`` (libm ``pow``) and ``x * x`` can differ.
     """
     table = g.shell_table
     depths = np.count_nonzero(table, axis=1) - 1

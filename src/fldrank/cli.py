@@ -103,8 +103,8 @@ def _parse_measure(name: str) -> Measure:
 
 def _parse_measures(raw: str) -> list[Measure]:
     measures = [_parse_measure(tok) for tok in raw.split(",") if tok]
-    if not measures:
-        raise ValueError(f"expected at least one measure, got {raw!r}")
+    if not measures or len(set(measures)) < len(measures):
+        raise ValueError(f"expected at least one measure, each named once, got {raw!r}")
     return measures
 
 
@@ -307,8 +307,8 @@ def main(argv=None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "top", None) is not None and args.measure is None:
-        parser.error("--top requires --measure")
+    if args.command == "si" and (args.top is None) != (args.measure is None):  # --seeds takes none
+        parser.error("--top requires --measure" if args.top else "--measure applies only with --top")
     with warnings.catch_warnings(), _without_openssl():
         # one "warning: ..." line per library warning, without its source line
         warnings.showwarning = _print_warning

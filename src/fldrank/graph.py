@@ -107,22 +107,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DistanceField:
-    """Single-source BFS result.
-
-    ``dist[j]`` is the hop distance from ``source`` to ``j``, or UNREACHABLE
-    when ``j`` lies in another component. ``d_max`` is the eccentricity of
-    the source within its component and ``shell_counts[r]`` the number of
-    nodes at distance exactly ``r`` (``shell_counts[0] == 1``).
-    """
-
-    source: int
-    dist: tuple[int, ...]
-    d_max: int
-    shell_counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ComponentMap:
     """Partition of the node set into connected components."""
 
@@ -171,19 +155,6 @@ def load_edge_list(path: str | Path) -> Graph:
     return parse_edge_list(Path(path).read_bytes())
 
 
-def bfs_distances(g: Graph, source: int) -> DistanceField:
-    """Exact hop distances from ``source`` by breadth-first search."""
-    if not 0 <= source < g.node_count:
-        raise ValueError(f"source {source} out of range for {g.node_count} nodes")
-    dist = [UNREACHABLE] * g.node_count
-    order = _bfs(g, source, dist)
-    d_max = dist[order[-1]]
-    shells = [0] * (d_max + 1)
-    for v in order:
-        shells[dist[v]] += 1
-    return DistanceField(source, tuple(dist), d_max, tuple(shells))
-
-
 def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
     """Fill in ``dist`` from ``source`` over nodes still UNREACHABLE; return them in visit order."""
     dist[source] = 0
@@ -200,10 +171,10 @@ def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
 def all_distance_fields(g: Graph) -> np.ndarray:
     """One BFS per node, keeping only its shell counts, as one padded table.
 
-    Row s of the read-only (nodes x (depth + 1)) int64 table is
-    ``bfs_distances(g, s).shell_counts``, then zeros up to the graph's
-    largest eccentricity ``depth``; a shell count is positive up to its
-    node's own eccentricity, so the row's nonzero count is that plus one.
+    Row s of the read-only (nodes x (depth + 1)) int64 table holds the
+    number of nodes at each hop distance from s, then zeros up to the
+    graph's largest eccentricity ``depth``; a shell count is positive up to
+    its node's own eccentricity, so the row's nonzero count is that plus one.
 
     Both kernels are multi-source BFS (Then et al., VLDB 2014). Most
     sources run 64 at a time as the bits of one uint64 per node: each

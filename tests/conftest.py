@@ -19,8 +19,9 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from fldrank import UNREACHABLE, Graph, bfs_distances, membership, replicate_rng
+from fldrank import UNREACHABLE, Graph, membership, replicate_rng
 from fldrank.datasets import load_karate, load_kite
+from fldrank.graph import _bfs
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +142,35 @@ def scores_by_label(g: Graph, sv) -> dict[str, float | None]:
         label: (None if sv.undefined[i] else float(sv.scores[i]))
         for i, label in enumerate(g.node_labels)
     }
+
+
+@dataclass(frozen=True)
+class DistanceField:
+    """Single-source BFS result.
+
+    ``dist[j]`` is the hop distance from ``source`` to ``j``, or UNREACHABLE
+    when ``j`` lies in another component. ``d_max`` is the eccentricity of
+    the source within its component and ``shell_counts[r]`` the number of
+    nodes at distance exactly ``r`` (``shell_counts[0] == 1``).
+    """
+
+    source: int
+    dist: tuple[int, ...]
+    d_max: int
+    shell_counts: tuple[int, ...]
+
+
+def bfs_distances(g: Graph, source: int) -> DistanceField:
+    """Exact hop distances from ``source`` by breadth-first search."""
+    if not 0 <= source < g.node_count:
+        raise ValueError(f"source {source} out of range for {g.node_count} nodes")
+    dist = [UNREACHABLE] * g.node_count
+    order = _bfs(g, source, dist)
+    d_max = dist[order[-1]]
+    shells = [0] * (d_max + 1)
+    for v in order:
+        shells[dist[v]] += 1
+    return DistanceField(source, tuple(dist), d_max, tuple(shells))
 
 
 def shell_rows(g: Graph) -> list[tuple[int, ...]]:
@@ -267,7 +297,7 @@ def closed_form_slope(x, y) -> float:
 
 
 def loop_slope(xs, ys) -> float:
-    """``ols_slope``'s centered formula, each sum an explicit left-to-right loop."""
+    """Least-squares slope of ys on xs, centered form, each sum an explicit left-to-right loop."""
     n = len(xs)
     sum_x = sum_y = 0
     for a, b in zip(xs, ys):
@@ -472,6 +502,42 @@ def oracle_ibmf_mean(g: Graph, seed: int, lam: float, t: int) -> float:
         escape = [math.prod(1.0 - lam * q[u] for u in g.adjacency[v]) for v in range(g.node_count)]
         q = 1.0 - (1.0 - q) * np.asarray(escape)
     return float(q.sum())
+
+
+def exact_si_mean(g: Graph, source: int, lam: float, t: int) -> float:
+    """Exact mean SI count at step t from one seed, on any graph of at most 12 nodes.
+
+    Synchronous SI is a Markov chain on the infected set S: from S, each
+    susceptible node with k infected neighbors turns infected independently
+    with probability 1 - (1 - lam)^k. The distribution over the infected
+    sets, as bitmasks, is pushed forward t steps, one susceptible node's
+    branch at a time. It can hold 2^n sets, so larger graphs raise.
+    """
+    n = g.node_count
+    if n > 12:
+        raise ValueError(f"exact SI means take at most 12 nodes, got {n}")
+    neighbors = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+    states = {1 << source: 1.0}
+    for _ in range(t):
+        pushed: dict[int, float] = {}
+        for infected, p in states.items():
+            branches = {infected: p}
+            for v in range(n):
+                k = bin(neighbors[v] & infected).count("1")
+                if k == 0 or infected >> v & 1:
+                    continue
+                q = 1.0 - (1.0 - lam) ** k
+                split: dict[int, float] = {}
+                for state, w in branches.items():
+                    if q > 0.0:
+                        split[state | 1 << v] = w * q
+                    if q < 1.0:
+                        split[state] = w * (1.0 - q)
+                branches = split
+            for state, w in branches.items():
+                pushed[state] = pushed.get(state, 0.0) + w
+        states = pushed
+    return sum(p * bin(state).count("1") for state, p in states.items())
 
 
 def coupled_infected_sets(

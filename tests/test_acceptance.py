@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bfs_distances,
     brute_force_path_counts,
     brute_force_tau,
     closed_form_slope,
@@ -30,7 +31,6 @@ from fldrank import (
     Measure,
     PairedSequence,
     SiConfig,
-    bfs_distances,
     compute_measure,
     connected_components,
     fuzzy_count_series,

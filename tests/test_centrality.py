@@ -43,7 +43,6 @@ from fldrank import (
     eigenvector_centrality,
     fuzzy_local_dimension,
     local_dimension,
-    ols_slope,
     oriented_scores,
     rank_nodes,
     shortest_path_counts,
@@ -518,14 +517,13 @@ def test_ols_slope_matches_closed_form(points):
     ys = [p[1] for p in points]
     if max(xs) - min(xs) < 1e-6:
         return
-    assert ols_slope(xs, ys) == pytest.approx(closed_form_slope(xs, ys), abs=1e-9, rel=1e-9)
+    assert loop_slope(xs, ys) == pytest.approx(closed_form_slope(xs, ys), abs=1e-9, rel=1e-9)
 
 
 def test_ols_slope_has_the_same_bits_on_every_python(kite, karate):
     # the built-in sum() of floats is compensated from Python 3.12 on, which
-    # moves the last bits of many ld and fld scores: every score, and
-    # ols_slope, must have the bits of a left-to-right loop over the node's
-    # own points
+    # moves the last bits of many ld and fld scores: every score must have
+    # the bits of a left-to-right loop over the node's own points
     graphs = (kite, karate, barabasi_albert_graph(200, 3, 0), path_graph(300), grid_graph(12, 12))
     for g in graphs:
         ld, fld = local_dimension(g), fuzzy_local_dimension(g)
@@ -537,7 +535,6 @@ def test_ols_slope_has_the_same_bits_on_every_python(kite, karate):
                 ys = [math.log(c) for c in counts]
                 slope = loop_slope(xs, ys).hex()
                 assert sv.scores[i].hex() == slope, (sv.measure, g.node_labels[i])
-                assert ols_slope(xs, ys).hex() == slope
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,13 +562,6 @@ def test_shell_table_measures_match_the_per_node_oracles(seed, n, p, extra):
                 sv = compute_measure(g, measure)
                 assert sv.scores.tobytes() == scores.tobytes(), (measure, budget)
                 assert np.array_equal(sv.undefined, undefined), (measure, budget)
-
-
-def test_ols_slope_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ols_slope([1.0], [2.0])
-    with pytest.raises(ValueError):
-        ols_slope([1.0, 2.0], [1.0])
 
 
 # --- structural properties ------------------------------------------------

@@ -243,6 +243,15 @@ def test_si_top_seeds_require_measure(capsys, tmp_path):
     assert "--top requires --measure" in capsys.readouterr().err
 
 
+def test_si_explicit_seeds_take_no_measure(capsys, tmp_path):
+    # --measure picks the --top seeds only: with --seeds the manifest would record it unused
+    argv = ["si", "--input", str(tmp_path / "missing.edges"), "--seeds", "1", "--measure", "fld"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--lambda", "0.5"])
+    assert exc.value.code == 2
+    assert "--measure applies only with --top" in capsys.readouterr().err
+
+
 def test_si_top_beyond_node_count_names_both(capsys):
     argv = ["si", "--input", str(kite_path()), "--top", "11", "--measure", "dc", "--lambda", "0.5"]
     code, out, err = run(capsys, argv)
@@ -395,6 +404,15 @@ def test_empty_measure_list_is_a_usage_error(measures, capsys, tmp_path):
         main(["compare", "--input", str(tmp_path / "missing.edges"), f"--measures={measures}"])
     assert exc.value.code == 2
     assert "expected at least one measure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("measures", ["dc,dc", "fld,dc,FLD"])
+def test_repeated_measure_is_a_usage_error(measures, capsys, tmp_path):
+    # a repeat would print duplicate rows and list the measure twice in the manifest
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--input", str(tmp_path / "missing.edges"), f"--measures={measures}"])
+    assert exc.value.code == 2
+    assert f"each named once, got {measures!r}" in capsys.readouterr().err
 
 
 def test_non_decimal_digit_labels_rank_as_text(tmp_path, capsys):

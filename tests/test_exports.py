@@ -23,7 +23,7 @@ def test_import_fldrank_loads_no_numpy():
 
 def test_every_export_is_its_submodules_object():
     modules = [importlib.import_module(f"fldrank.{name}") for name in SUBMODULES]
-    assert len(fldrank.__all__) == len(set(fldrank.__all__)) == 42
+    assert len(fldrank.__all__) == len(set(fldrank.__all__)) == 39
     for name in fldrank.__all__:
         value = getattr(fldrank, name)
         assert any(vars(m).get(name) is value for m in modules), name
@@ -49,5 +49,8 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="module 'fldrank' has no attribute 'no_such_name'"):
         fldrank.no_such_name
     assert not hasattr(fldrank, "_SUBMODULE_of_nothing")
+    # references that only tests use live in tests/conftest.py, not in the package
+    for name in ("bfs_distances", "DistanceField", "ols_slope"):
+        assert not hasattr(fldrank, name), name
     with pytest.raises(ImportError):
         exec("from fldrank import no_such_name", {})

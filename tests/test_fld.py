@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bfs_distances,
     closed_form_slope,
     cycle_graph,
+    loop_slope,
     path_graph,
     random_graph,
     relabeled,
@@ -18,14 +20,12 @@ from conftest import (
 )
 from fldrank import (
     Graph,
-    bfs_distances,
     connected_components,
     fuzzy_count_series,
     fuzzy_local_dimension,
     membership,
     rank_nodes,
 )
-from fldrank.centrality import ols_slope
 
 # Expected per-node fuzzy local dimension of the kite network, nodes 1..10.
 KITE_FLD = (0.3609, 0.3609, 0.3015, 0.4554, 0.4554, 0.3015, 0.4442, 0.0760, 0.0375, -0.1163)
@@ -161,7 +161,7 @@ def test_scores_are_the_slopes_of_each_nodes_own_series_bit_for_bit(karate):
                 continue
             series = fuzzy_count_series(shells)
             xs = [math.log(r) for r in series.radii]
-            assert sv.scores[i] == ols_slope(xs, [math.log(c) for c in series.counts])
+            assert sv.scores[i] == loop_slope(xs, [math.log(c) for c in series.counts])
 
 
 def test_weights_are_computed_once_per_distance_and_radius(monkeypatch):

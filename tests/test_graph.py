@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import fldrank.graph
 from conftest import (
     barabasi_albert_graph,
+    bfs_distances,
     check_shell_table,
     cycle_graph,
     grid_graph,
@@ -18,7 +19,6 @@ from fldrank import (
     UNREACHABLE,
     EdgeListError,
     Graph,
-    bfs_distances,
     connected_components,
     diameter,
     parse_edge_list,

@@ -13,8 +13,10 @@ import fldrank.graph
 import fldrank.si
 from conftest import (
     barabasi_albert_graph,
+    bfs_distances,
     binary_tree_graph,
     coupled_infected_sets,
+    exact_si_mean,
     grid_graph,
     oracle_ability,
     oracle_ibmf_mean,
@@ -30,7 +32,6 @@ from conftest import (
 from fldrank import (
     Graph,
     SiConfig,
-    bfs_distances,
     connected_components,
     diameter,
     lambda_from_beta,
@@ -834,6 +835,76 @@ def test_rate_one_count_is_the_cumulative_shell_count(karate):
             # both bounds are exact at rate 1, on any graph
             assert oracle_tree_mean(shells, t, 1.0) == reach
             assert oracle_ibmf_mean(g, node, 1.0, t) == reach
+
+
+# --- the exact SI mean on graphs with cycles ----------------------------------
+
+# fixed before the first run, with the constants above: every |z| within
+# Z_BOUND, and the 30 z-scores' mean square at most 2. Independent z-scores
+# would exceed it with probability about 1e-3 (a chi-square with 30 degrees of
+# freedom above 60); these share replicate k's stream across sources and
+# rates, so they are correlated and their mean square spreads wider
+EXACT_RATES = (0.05, 0.2, 0.5)
+
+
+def test_mean_count_matches_the_exact_mean_on_kite(kite):
+    zs = {}
+    for node in range(kite.node_count):
+        for lam in EXACT_RATES:
+            counts = final_counts(kite, node, lam, 10, EXACT_REPLICATES)
+            zs[kite.node_labels[node], lam] = z_score(counts, exact_si_mean(kite, node, lam, 10))
+    assert max(map(abs, zs.values())) <= Z_BOUND, zs
+    assert sum(z * z for z in zs.values()) / len(zs) <= 2.0, zs
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 10),
+    graph_seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.1, 0.5),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    lam=st.sampled_from(EXACT_RATES),
+    t=st.integers(1, 6),
+)
+@example(n=6, graph_seed=6, p=0.2, where=0.0, lam=0.2, t=4)  # node 0 alone, beside a triangle
+def test_mean_count_matches_the_exact_mean_on_random_graphs(n, graph_seed, p, where, lam, t):
+    # G(n, p) this sparse leaves isolated nodes and several components
+    g = random_graph(np.random.default_rng(graph_seed), n, p)
+    node = int(where * n)
+    counts = final_counts(g, node, lam, t, EXACT_REPLICATES)
+    exact = exact_si_mean(g, node, lam, t)
+    if counts.min() == counts.max():  # a count with no spread must be certain
+        assert counts[0] == pytest.approx(exact, rel=0, abs=1e-12)
+    else:
+        assert abs(z_score(counts, exact)) <= Z_BOUND
+
+
+def test_exact_mean_at_rate_one_is_the_cumulative_shell_count(kite):
+    rng = np.random.default_rng(5)
+    # G(10, p) this sparse has isolated nodes and several components
+    graphs = [kite, _graph_with_isolated_node(), *(random_graph(rng, 10, p) for p in (0.1, 0.2, 0.4))]
+    for g in graphs:
+        for node in range(g.node_count):
+            shells = bfs_distances(g, node).shell_counts
+            for t in range(5):
+                assert exact_si_mean(g, node, 1.0, t) == sum(shells[: t + 1]), (node, t)
+
+
+def test_exact_mean_on_trees_is_the_tree_mean():
+    rng = np.random.default_rng(8)
+    trees = [path_graph(12), binary_tree_graph(12), prufer_tree_graph(10, rng), prufer_tree_graph(10, rng)]
+    for g in trees:
+        for node in range(g.node_count):
+            shells = bfs_distances(g, node).shell_counts
+            for lam, t in ((0.2, 5), (0.7, 3)):
+                exact = exact_si_mean(g, node, lam, t)
+                assert exact == pytest.approx(oracle_tree_mean(shells, t, lam), rel=0, abs=1e-12)
+
+
+def test_exact_mean_refuses_graphs_above_twelve_nodes():
+    assert exact_si_mean(path_graph(12), 0, 0.5, 1) == 1.5
+    with pytest.raises(ValueError, match="at most 12 nodes, got 13"):
+        exact_si_mean(path_graph(13), 0, 0.5, 1)
 
 
 # --- both analytic bounds on any graph ----------------------------------------
