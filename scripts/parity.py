@@ -12,18 +12,21 @@ for each measure. Four more runs take one graph each: on karate, ``si``
 with 150 replicates (two SI batches of unequal length), ``si`` from the
 labelled seeds 1 and 34 (``--seeds``), and ``tau`` on the default grid; on
 kite, ``si --top`` past the node count, an error path.
-Five generated graphs run only ``rank``: path(1000), deep enough for fld's
-and ld's node blocks to run at many widths, with ld and with fld; a
-path(600) followed by BA(300, 3), whose path sources run the all-sources
-pass in frontier blocks while the BA sources run it as words; the same two
-parts the other way round, shallow words first, then the deep path; and
-the path glued by one edge to the BA graph, one deep component whose dense
-part narrows its frontier blocks. These three run cc, ld and fld. A chain
-of 70 diamonds (211 nodes) runs bc: its path counts pass 2**63, so bc's
-counts widen to Python integers. Three small inputs run ``rank`` with dc
-and ``compare``: one with a UTF-8 byte-order mark, CRLF line ends and two
-self-loops, which give one warning line; one with a self-loop and then a
-line of three labels, which gives one error line and no warning; and one
+Six generated graphs run only their own commands. Five run ``rank``:
+path(1000), deep enough for fld's and ld's node blocks to run at many
+widths, with ld and with fld; a path(600) followed by BA(300, 3), whose
+path sources run the all-sources pass in frontier blocks while the BA
+sources run it as words; the same two parts the other way round, shallow
+words first, then the deep path; and the path glued by one edge to the BA
+graph, one deep component whose dense part narrows its frontier blocks.
+These three run cc, ld and fld. A chain of 70 diamonds (211 nodes) runs
+bc: its path counts pass 2**63, so bc's counts widen to Python integers.
+BA(3000, 3), whose 2E of about 18k passes the 16,384 contacts one SI batch
+may hold, runs ``si`` with 3 replicates, one row per batch, and ``rank``
+with bc, whose blocks hold 3 sources. Three small inputs run ``rank`` with
+dc and ``compare``: one with a UTF-8 byte-order mark, CRLF line ends and
+two self-loops, which give one warning line; one with a self-loop and then
+a line of three labels, which gives one error line and no warning; and one
 whose labels hold a comma, a double quote and a non-ASCII letter, which
 the CSV rows quote (the first two) and the output file holds as UTF-8.
 Each run's rows, manifest, stdout, stderr and exit code are compared. Every
@@ -76,6 +79,11 @@ ONLY_ON_GRAPH = {
     "ba300path600": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
     "path600glueba300": {f"rank-{m}": ["rank", "--measure", m] for m in ("cc", "ld", "fld")},
     "diamonds70": {"rank-bc": ["rank", "--measure", "bc"]},
+    # 2E is about 18k: SI runs its replicates one row per batch, and bc its sources in blocks of 3
+    "ba3000": {
+        "si": ["si", "--top", "3", "--measure", "dc", "--beta", "3", "--replicates", "3"],
+        "rank-bc": ["rank", "--measure", "bc"],
+    },
     "bomcrlf": {c: COMMANDS[c] for c in ("rank-dc", "compare")},
     "badline": {c: COMMANDS[c] for c in ("rank-dc", "compare")},
     "quoting": {c: COMMANDS[c] for c in ("rank-dc", "compare")},
@@ -109,6 +117,7 @@ def write_inputs(folder: Path) -> dict[str, Path]:
     datasets = ROOT / "src" / "fldrank" / "datasets"
     generated = {
         "ba300": [f"{a} {b}" for a, b in ba_edges(300, 3, 0)],
+        "ba3000": [f"{a} {b}" for a, b in ba_edges(3000, 3, 0)],
         "path300": [f"{i} {i + 1}" for i in range(299)],
         "path1000": [f"{i} {i + 1}" for i in range(999)],
         "path600ba300": [f"p{i} p{i + 1}" for i in range(599)]

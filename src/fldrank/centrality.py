@@ -263,25 +263,25 @@ def _block_path_counts(
         # a level goes the way that expands fewer contacts, and a thin
         # frontier's size bound shows it top-down with no numpy call
         thin = 2 * frontier.size * max_degree <= reach
-        if thin or 2 * int((copies[frontier + 1] - copies[frontier]).sum()) <= reach:
+        if thin or 2 * int((copies[1:].take(frontier) - copies.take(frontier)).sum()) <= reach:
             contacts, _ = contact_ids(copies, frontier)
-            head = heads[contacts]
-            fresh = np.flatnonzero(unseen[head])
-            head, tail = head[fresh], tails[contacts[fresh]]
+            head = heads.take(contacts)
+            fresh = unseen.take(head)
+            head, tail = head.compress(fresh), tails.take(contacts.compress(fresh))
             reach -= contacts.size
         else:
             # bottom-up: of the unseen cells' contacts, those from the frontier
             front = np.zeros(width * n, dtype=bool)
             front[frontier] = True
             contacts, _ = contact_ids(copies, np.flatnonzero(unseen))
-            tail = heads[contacts]
-            kept = np.flatnonzero(front[tail])
-            tail, head = tail[kept], tails[contacts[kept]]
+            tail = heads.take(contacts)
+            kept = front.take(tail)
+            tail, head = tail.compress(kept), tails.take(contacts.compress(kept))
             reach = contacts.size  # every contact left is an unseen cell's
         if not thin:
             was = unseen.copy()
         unseen[head] = False
-        np.add.at(sigma, head, sigma[tail])
+        np.add.at(sigma, head, sigma.take(tail))
         dag.append((tail, head))
         if thin:
             frontier = distinct_cells(head, slot)
@@ -296,8 +296,8 @@ def _block_path_counts(
         # the bound runs ahead of the level, so every count so far is exact
         if top_down + 1 >= limit and down.dtype != object:
             down = down.astype(object)
-        np.add.at(down, tail, 1 + down[head])
-        top_down = max(top_down, int(down[tail].max(initial=0)))
+        np.add.at(down, tail, 1 + down.take(head))
+        top_down = max(top_down, int(down.take(tail).max(initial=0)))
     # sigma[t] counts some of the paths that down[source] counts, so sigma can
     # have wrapped only if down widened; per node, the block sums up to width
     # products sigma * down
@@ -361,7 +361,7 @@ def eigenvector_centrality(g: Graph) -> tuple[ScoreVector, float]:
     rowstarts = np.cumsum(degrees) - degrees
 
     def adj_times(x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(x[cols], rowstarts)
+        return np.add.reduceat(x.take(cols), rowstarts)
 
     x = np.full(m, 1.0 / math.sqrt(m))
     for _ in range(_EC_MAX_ITER):

@@ -69,7 +69,8 @@ def _membership_table(depth: int) -> np.ndarray:
     """``table[d, r - 1]`` is ``membership(d, r)`` for radii r = 1..depth and d = 0..r, else 0."""
     table = np.zeros((depth + 1, depth))
     for r in range(1, depth + 1):
-        table[: r + 1, r - 1] = [membership(d, r) for d in range(r + 1)]
+        # membership's expression, without its argument checks
+        table[: r + 1, r - 1] = [math.exp(-(d * d) / (r * r)) for d in range(r + 1)]
     return table
 
 

@@ -244,9 +244,11 @@ def _word_block_shells(
     levels = [np.ones(_WORD_BITS, dtype=np.int64)]  # distance 0: the source itself
     while owners.size:
         reached = np.zeros(n, dtype=np.uint64)
-        reached[owners] = np.bitwise_or.reduceat(frontier[targets], starts)
+        reached[owners] = np.bitwise_or.reduceat(frontier.take(targets), starts)
         frontier = reached & ~seen
-        hit = frontier[frontier != 0]
+        # compress drops what lies past a shorter mask without an error: each mask
+        # in the hot loops is built from the array it selects from, so has its length
+        hit = frontier.compress(frontier != 0)
         if hit.size == 0:
             break
         seen |= frontier
@@ -275,15 +277,15 @@ def unseen_heads(g: Graph, cells: np.ndarray, seen: np.ndarray) -> np.ndarray:
     offsets, targets = g.edge_arrays
     nodes = cells % n
     contacts, degrees = contact_ids(offsets, nodes)
-    heads = (cells - nodes).repeat(degrees) + targets[contacts]
-    return heads[~seen[heads]]
+    heads = (cells - nodes).repeat(degrees) + targets.take(contacts)
+    return heads.compress(~seen.take(heads))
 
 
 def distinct_cells(cells: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """``cells`` with each kept once, where it last occurs; ``slot`` is intp scratch by cell."""
     order = np.arange(cells.size)
     slot[cells] = order
-    return cells[slot[cells] == order]
+    return cells.compress(slot.take(cells) == order)
 
 
 def contact_ids(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +294,8 @@ def contact_ids(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.
     ``offsets`` is the first array of ``Graph.edge_arrays``; the IDs index
     its second, so node ``nodes[i]`` owns ``degrees[i]`` consecutive IDs.
     """
-    first = offsets[nodes]
-    degrees = offsets[nodes + 1] - first
+    first = offsets.take(nodes)
+    degrees = offsets[1:].take(nodes) - first
     ends = degrees.cumsum()
     # contact IDs, node by node: first, first + 1, ..., first + degree - 1
     contacts = (first - ends + degrees).repeat(degrees)
@@ -307,6 +309,8 @@ def disjoint_copies(g: Graph, width: int) -> tuple[np.ndarray, np.ndarray]:
     Cell ``b * n + v`` is node v of copy b, and contact c of copy b is ``b * 2E + c``.
     """
     offsets, targets = g.edge_arrays
+    if width == 1:  # copy 0 is the graph itself
+        return offsets, targets
     rows = np.arange(width)[:, None]
     copies = np.append((rows * targets.size + offsets[:-1]).ravel(), width * targets.size)
     return copies, (rows * g.node_count + targets).ravel()

@@ -239,7 +239,7 @@ class ReplicateStreams:
         self._pos = end
         ends = counts.cumsum()
         cells = (self._base + end - ends).repeat(counts)
-        return self._buf.ravel()[cells + np.arange(ends[-1])]
+        return self._buf.ravel().take(cells + np.arange(ends[-1]))
 
     def _refill(self, row: int, need: int) -> None:
         """Keep the row's unread uniforms and fill the rest of its buffer from its stream."""
@@ -292,7 +292,7 @@ def si_step(
         heads = unseen_heads(g, np.flatnonzero(state), state)
     counts = np.bincount(heads // n, minlength=rows)
     newly = np.zeros(state.size, dtype=bool)
-    newly[heads[rng(counts) < lam]] = True
+    newly[heads.compress(rng(counts) < lam)] = True
     return newly.nonzero()[0]
 
 
@@ -327,10 +327,10 @@ def _run_chunk(
     while lam > 0.0 and (len(news) <= low or len(news) <= cap()):
         live[contact_ids(copies, news[-1])[0]] = True
         contacts = live.nonzero()[0]
-        reached = heads[contacts]
-        susceptible = ~cells[reached]
+        reached = heads.take(contacts)
+        susceptible = ~cells.take(reached)
         live[contacts] = susceptible
-        reached = reached[susceptible]
+        reached = reached.compress(susceptible)
         if not reached.size:
             break
         news.append(si_step(g, infected, lam, streams.draw, reached))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,18 +166,28 @@ def test_scores_are_the_slopes_of_each_nodes_own_series_bit_for_bit(karate):
 
 
 def test_weights_are_computed_once_per_distance_and_radius(monkeypatch):
-    # path(30) has depth 29: one call per (d, r) with 0 <= d <= r <= 29,
+    # path(30) has depth 29: one exp per (d, r) with 0 <= d <= r <= 29,
     # where one table per node would make about 30 times as many
     calls = []
-    real = fldrank.fld.membership
 
-    def spy(d, eps):
-        calls.append((d, eps))
-        return real(d, eps)
+    def spy(x):
+        calls.append(x)
+        return math.exp(x)
 
-    monkeypatch.setattr(fldrank.fld, "membership", spy)
+    monkeypatch.setattr(fldrank.fld, "math", SimpleNamespace(exp=spy))
     fuzzy_local_dimension(path_graph(30))
-    assert sorted(calls) == [(d, r) for d in range(30) for r in range(1, 30) if d <= r]
+    pairs = [(d, r) for d in range(30) for r in range(1, 30) if d <= r]
+    assert sorted(calls) == sorted(-(d * d) / (r * r) for d, r in pairs)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7, 300])
+def test_weight_table_is_membership_bit_for_bit(depth):
+    table = fldrank.fld._membership_table(depth)
+    expected = np.zeros((depth + 1, depth))
+    for r in range(1, depth + 1):
+        for d in range(r + 1):
+            expected[d, r - 1] = membership(d, r)
+    assert table.tobytes() == expected.tobytes()
 
 
 def test_nodes_without_two_radii_get_sentinel():

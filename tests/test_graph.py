@@ -520,3 +520,30 @@ def test_parse_is_invariant_under_line_reordering(seed, n, p):
     rng.shuffle(shuffled)
     reparsed = parse_edge_list("\n".join(shuffled) + "\n")
     assert _canonical(parsed) == _canonical(reparsed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    degrees=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+)
+def test_contact_ids_are_each_nodes_contact_range(data, degrees):
+    # zero degrees, and nodes empty, repeated or unsorted
+    offsets = np.concatenate(([0], np.cumsum(degrees))).astype(np.intp)
+    offsets.setflags(write=False)
+    picks = st.lists(st.integers(0, len(degrees) - 1), max_size=40)
+    nodes = np.array(data.draw(picks), dtype=np.intp)
+    contacts, counts = fldrank.graph.contact_ids(offsets, nodes)
+    expected = [np.arange(offsets[v], offsets[v + 1]) for v in nodes]
+    assert contacts.tolist() == np.concatenate([np.arange(0), *expected]).tolist()
+    assert counts.tolist() == [offsets[v + 1] - offsets[v] for v in nodes]
+    assert contacts.dtype == counts.dtype == np.intp
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_copy_zero_of_disjoint_copies_is_the_graph(kite, width):
+    offsets, targets = kite.edge_arrays
+    copies, heads = fldrank.graph.disjoint_copies(kite, width)
+    assert copies.size == width * kite.node_count + 1 and heads.size == width * targets.size
+    assert copies[: kite.node_count + 1].tolist() == offsets.tolist()
+    assert heads[: targets.size].tolist() == targets.tolist()
