@@ -246,8 +246,7 @@ def _word_block_shells(
         reached = np.zeros(n, dtype=np.uint64)
         reached[owners] = np.bitwise_or.reduceat(frontier.take(targets), starts)
         frontier = reached & ~seen
-        # compress drops what lies past a shorter mask without an error: each mask
-        # in the hot loops is built from the array it selects from, so has its length
+        # compress drops what lies past a shorter mask: each hot-loop mask is built from its array
         hit = frontier.compress(frontier != 0)
         if hit.size == 0:
             break

@@ -292,7 +292,8 @@ def si_step(
         heads = unseen_heads(g, np.flatnonzero(state), state)
     counts = np.bincount(heads // n, minlength=rows)
     newly = np.zeros(state.size, dtype=bool)
-    newly[heads.compress(rng(counts) < lam)] = True
+    # compress would drop the heads past a short draw array; the reshape raises instead
+    newly[heads.compress(rng(counts).reshape(heads.shape) < lam)] = True
     return newly.nonzero()[0]
 
 

@@ -422,6 +422,16 @@ def test_step_rejects_a_generator_count_other_than_the_row_count(rows, generator
         si_step(g, state, 0.5, [replicate_rng(0, k) for k in range(generators)])
 
 
+@pytest.mark.parametrize("extra", [-3, -1, 1])
+def test_step_rejects_a_draw_count_other_than_the_open_contacts(extra):
+    # nodes 1 and 3 of path(6) have 4 open contacts, and each needs its own draw
+    g = path_graph(6)
+    state = np.zeros(6, dtype=bool)
+    state[[1, 3]] = True
+    with pytest.raises(ValueError):
+        si_step(g, state, 1.0, lambda counts: np.zeros(int(counts.sum()) + extra))
+
+
 def test_step_takes_a_lone_generator_for_one_row_only():
     g = path_graph(4)
     one = np.array([True, False, False, False])
